@@ -77,7 +77,10 @@ class DeviceHashTable {
   /// bloom_filter.hpp): a k-mer enters the table only on its second
   /// observed occurrence; the claiming insert adds 2 so surviving counts
   /// equal the true multiplicity (modulo Bloom false positives, which at
-  /// worst admit a singleton or add +1).
+  /// worst admit a singleton or add +1). Which occurrence is absorbed — and
+  /// so every charge of the launch — depends on block order, so these
+  /// kernels launch order-pinned (Device::launch_ordered) and give the same
+  /// table and charges at every pool size.
   gpusim::LaunchStats count_kmers_filtered(
       const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
       DeviceBloomFilter& bloom);

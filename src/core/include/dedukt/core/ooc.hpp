@@ -5,9 +5,12 @@
 // supermers, matching what the selected pipeline puts on the wire) to
 // per-rank spill-bin files — the bin is a pure function of the k-mer key
 // or supermer minimizer, so pass 2 can process bins independently.
-// Pass 2 replays one bin at a time through the staged exchange/count
-// framework against the persistent per-rank tables, bounding the exchange
-// working set by 1/bins of the dataset instead of the whole input.
+// Pass 2 replays one bin at a time against the persistent per-rank tables:
+// the bin's payload goes through the same exchange as the in-memory run and
+// then through the selected pipeline's own count phase, bounding the
+// exchange working set by 1/bins of the dataset instead of the whole input.
+// The run itself is reached through run_distributed_count /
+// run_distributed_count_wide with DriverOptions::ooc set.
 //
 // Spectra, global counts and (for hash routing) per-rank tallies are
 // bit-identical to the in-memory path: every occurrence of a key follows
@@ -16,11 +19,10 @@
 // (kPhaseSpill / kPhaseReload).
 #pragma once
 
-#include <utility>
-#include <vector>
+#include <cstdint>
 
-#include "dedukt/core/driver.hpp"
 #include "dedukt/hash/murmur3.hpp"
+#include "dedukt/kmer/wide.hpp"
 
 namespace dedukt::core {
 
@@ -35,24 +37,10 @@ inline constexpr std::uint64_t kSpillBinSeed = 0x5B1Du;
   return hash::to_partition(hash::hash_u64(value, kSpillBinSeed), bins);
 }
 
-/// Two-pass out-of-core run (options.ooc.enabled() must hold). Called by
-/// run_distributed_count; not a public entry point.
-[[nodiscard]] CountResult run_ooc_count(io::ReadBatchStream& stream,
-                                        const DriverOptions& options);
-
-/// Wide-key variant (CPU pipeline, 31 < k <= 63).
-[[nodiscard]] WideCountResult run_ooc_count_wide(io::ReadBatchStream& stream,
-                                                 const DriverOptions& options);
-
-namespace detail {
-
-/// Sort gathered (key, count) pairs and sum duplicate keys (defined in
-/// driver.cpp, shared with the streamed in-memory path).
-void merge_gathered_counts(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>& counts);
-void merge_gathered_counts_wide(
-    std::vector<std::pair<kmer::WideKey, std::uint64_t>>& counts);
-
-}  // namespace detail
+/// Spill bin of a two-word key (wide-k CPU runs).
+[[nodiscard]] inline std::uint32_t spill_bin_of(const kmer::WideKey& key,
+                                                std::uint32_t bins) {
+  return hash::to_partition(kmer::hash_wide(key, kSpillBinSeed), bins);
+}
 
 }  // namespace dedukt::core

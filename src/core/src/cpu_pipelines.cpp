@@ -8,11 +8,13 @@
 //    doubles — exactly the regime where the supermer idea pays off most.
 //
 // One translation unit, templated on a key-traits struct (mirroring how
-// the supermer pipeline templates on its packing word); each round is the
-// parse -> exchange -> count stage sequence on the staged pipeline
-// framework.
+// the supermer pipeline templates on its packing word; the traits and the
+// count phase live in count_phases.hpp, shared with the out-of-core
+// replay); each round is the parse -> exchange -> count stage sequence on
+// the staged pipeline framework.
 #include <vector>
 
+#include "count_phases.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
@@ -24,46 +26,6 @@
 namespace dedukt::core {
 
 namespace {
-
-/// Single-word keys (k <= 31): the packed code itself goes on the wire.
-struct NarrowCpuTraits {
-  using Wire = std::uint64_t;
-  using Table = HostHashTable;
-
-  /// Visit every k-mer of `fragment` as (destination rank, wire key).
-  template <typename Fn>
-  static void for_each_routed(std::string_view fragment,
-                              const PipelineConfig& config,
-                              io::BaseEncoding enc, std::uint32_t parts,
-                              Fn&& fn) {
-    kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
-      if (config.canonical) {
-        code = kmer::canonical(code, config.k, enc);
-      }
-      fn(kmer::kmer_partition(code, parts), code);
-    });
-  }
-};
-
-/// Two-word keys (31 < k <= 63): the 16-byte WideKey goes on the wire.
-struct WideCpuTraits {
-  using Wire = kmer::WideKey;
-  using Table = WideHostHashTable;
-
-  template <typename Fn>
-  static void for_each_routed(std::string_view fragment,
-                              const PipelineConfig& config,
-                              io::BaseEncoding enc, std::uint32_t parts,
-                              Fn&& fn) {
-    kmer::for_each_wide_kmer(
-        fragment, config.k, enc, [&](kmer::WideCode code) {
-          if (config.canonical) {
-            code = kmer::wide_canonical(code, config.k, enc);
-          }
-          fn(kmer::wide_kmer_partition(code, parts), kmer::to_key(code));
-        });
-  }
-};
 
 /// PARSEKMER (one full parse phase): extract k-mers and bucket them by
 /// destination processor. Shared verbatim by the lockstep and overlapped
@@ -88,20 +50,6 @@ std::vector<std::vector<typename Traits::Wire>> parse_cpu(
   phase.set_uniform_charge(static_cast<double>(metrics.bases) /
                            summit::kCpuParseBasesPerSec);
   return outgoing;
-}
-
-/// COUNTKMER (one full count phase): fold the received keys into the local
-/// partition of the global hash table.
-template <typename Traits>
-void count_cpu(const mpisim::AlltoallvResult<typename Traits::Wire>& received,
-               typename Traits::Table& local_table, RankMetrics& metrics) {
-  PhaseScope phase(metrics, kPhaseCount);
-  for (const auto& key : received.data) {
-    local_table.add(key);
-  }
-  metrics.kmers_received = received.data.size();
-  phase.set_uniform_charge(static_cast<double>(metrics.kmers_received) /
-                           summit::kCpuCountKmersPerSec);
 }
 
 /// One round of Algorithm 1 (the whole job when it fits in memory).
@@ -194,7 +142,7 @@ RankMetrics run_cpu_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
                          const PipelineConfig& config,
                          HostHashTable& local_table) {
   config.validate();
-  return run_cpu_pipeline<NarrowCpuTraits>(comm, reads, config, local_table);
+  return run_cpu_pipeline<NarrowKeys>(comm, reads, config, local_table);
 }
 
 RankMetrics run_cpu_wide_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
@@ -206,7 +154,7 @@ RankMetrics run_cpu_wide_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
                          << config.k);
   DEDUKT_REQUIRE_MSG(config.kind == PipelineKind::kCpu,
                      "wide-k counting is CPU-pipeline only");
-  return run_cpu_pipeline<WideCpuTraits>(comm, reads, config, local_table);
+  return run_cpu_pipeline<WideKeys>(comm, reads, config, local_table);
 }
 
 }  // namespace dedukt::core

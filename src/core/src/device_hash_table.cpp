@@ -328,8 +328,8 @@ gpusim::LaunchStats DeviceHashTable::count_kmers_filtered(
 
   const auto shape = device_->shape_for(n);
   if (!smem_agg_) {
-    return device_->launch("hash_count_kmers_filtered",
-                           shape.grid_dim, shape.block_dim,
+    return device_->launch_ordered("hash_count_kmers_filtered",
+                                   shape.grid_dim, shape.block_dim,
                            [=](gpusim::ThreadCtx& ctx) {
       const std::uint64_t i = ctx.global_id();
       if (i >= n) return;
@@ -339,8 +339,8 @@ gpusim::LaunchStats DeviceHashTable::count_kmers_filtered(
                         /*bonus=*/1);
     });
   }
-  return device_->launch("hash_count_kmers_filtered",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
+  return device_->launch_ordered("hash_count_kmers_filtered",
+                                 shape.grid_dim, shape.block_dim, /*phases=*/2,
                          [=](gpusim::ThreadCtx& ctx) {
     const SmemTable agg = smem_table(ctx, kSmemSlotsKmer);
     const GlobalTable g{keys, counts, mask};
@@ -373,8 +373,8 @@ gpusim::LaunchStats DeviceHashTable::count_supermers_filtered(
 
   const auto shape = device_->shape_for(n);
   if (!smem_agg_) {
-    return device_->launch("hash_count_supermers_filtered",
-                           shape.grid_dim, shape.block_dim,
+    return device_->launch_ordered("hash_count_supermers_filtered",
+                                   shape.grid_dim, shape.block_dim,
                            [=](gpusim::ThreadCtx& ctx) {
       const std::uint64_t i = ctx.global_id();
       if (i >= n) return;
@@ -388,8 +388,8 @@ gpusim::LaunchStats DeviceHashTable::count_supermers_filtered(
       });
     });
   }
-  return device_->launch("hash_count_supermers_filtered",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
+  return device_->launch_ordered("hash_count_supermers_filtered",
+                                 shape.grid_dim, shape.block_dim, /*phases=*/2,
                          [=](gpusim::ThreadCtx& ctx) {
     const SmemTable agg = smem_table(ctx, kSmemSlotsSupermer);
     const GlobalTable g{keys, counts, mask};
@@ -478,8 +478,8 @@ gpusim::LaunchStats DeviceHashTable::count_wide_supermers_filtered(
 
   const auto shape = device_->shape_for(n);
   if (!smem_agg_) {
-    return device_->launch("hash_count_wide_supermers_filtered",
-                           shape.grid_dim, shape.block_dim,
+    return device_->launch_ordered("hash_count_wide_supermers_filtered",
+                                   shape.grid_dim, shape.block_dim,
                            [=](gpusim::ThreadCtx& ctx) {
       const std::uint64_t i = ctx.global_id();
       if (i >= n) return;
@@ -494,8 +494,8 @@ gpusim::LaunchStats DeviceHashTable::count_wide_supermers_filtered(
       });
     });
   }
-  return device_->launch("hash_count_wide_supermers_filtered",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
+  return device_->launch_ordered("hash_count_wide_supermers_filtered",
+                                 shape.grid_dim, shape.block_dim, /*phases=*/2,
                          [=](gpusim::ThreadCtx& ctx) {
     const SmemTable agg = smem_table(ctx, kSmemSlotsSupermer);
     const GlobalTable g{keys, counts, mask};

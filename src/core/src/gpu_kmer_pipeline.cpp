@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "count_phases.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
 #include "dedukt/core/kernels.hpp"
@@ -146,7 +147,10 @@ void count_gpu_pairs(
       summit::kGpuCountOverheadSec);
 }
 
-/// Count phase of the main path: build the k-mer counter on the device.
+}  // namespace
+
+/// Count phase of the main path: build the k-mer counter on the device
+/// (shared with the out-of-core replay through count_phases.hpp).
 void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
                      const mpisim::AlltoallvResult<std::uint64_t>& received,
                      gpusim::DeviceBuffer<std::uint64_t>& d_recv,
@@ -172,6 +176,8 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
           summit::kGpuCountKmersPerSec,
       summit::kGpuCountOverheadSec);
 }
+
+namespace {
 
 /// One round of the pipeline (the whole job when it fits in memory).
 RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "count_phases.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
 #include "dedukt/core/kernels.hpp"
@@ -110,8 +111,11 @@ ParsedSupermers<Word> parse_gpu_supermers(
   return parsed;
 }
 
+}  // namespace
+
 /// Count phase: extract k-mers from received supermers and count. Shared
-/// verbatim by the lockstep and overlapped paths.
+/// verbatim by the lockstep and overlapped paths and, through
+/// count_phases.hpp, by the out-of-core replay.
 template <typename Word>
 void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
                          const mpisim::AlltoallvResult<Word>& recv_words,
@@ -164,6 +168,21 @@ void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
           (summit::kGpuCountKmersPerSec / summit::kSupermerCountOverhead),
       summit::kGpuCountOverheadSec);
 }
+
+template void count_gpu_supermers<std::uint64_t>(
+    gpusim::Device&, const PipelineConfig&,
+    const mpisim::AlltoallvResult<std::uint64_t>&,
+    const mpisim::AlltoallvResult<std::uint8_t>&,
+    gpusim::DeviceBuffer<std::uint64_t>&, gpusim::DeviceBuffer<std::uint8_t>&,
+    HostHashTable&, RankMetrics&);
+template void count_gpu_supermers<kmer::WideKey>(
+    gpusim::Device&, const PipelineConfig&,
+    const mpisim::AlltoallvResult<kmer::WideKey>&,
+    const mpisim::AlltoallvResult<std::uint8_t>&,
+    gpusim::DeviceBuffer<kmer::WideKey>&, gpusim::DeviceBuffer<std::uint8_t>&,
+    HostHashTable&, RankMetrics&);
+
+namespace {
 
 /// One round of the pipeline (the whole job when it fits in memory).
 /// `routing` carries the §VII frequency-balanced table when enabled; it is

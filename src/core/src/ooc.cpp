@@ -10,43 +10,27 @@
 // throughput-bound.
 #include "dedukt/core/ooc.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <type_traits>
 
-#include "dedukt/core/device_hash_table.hpp"
+#include "batch_driver.hpp"
+#include "count_phases.hpp"
 #include "dedukt/core/partitioner.hpp"
 #include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/io/spill.hpp"
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/kmer/supermer.hpp"
 #include "dedukt/kmer/wide.hpp"
-#include "dedukt/mpisim/runtime.hpp"
-#include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::core {
 
 namespace {
-
-/// Wire formats for gathering per-rank table entries to rank 0 (the same
-/// layout driver.cpp uses for the in-memory path).
-struct KmerCountPair {
-  std::uint64_t key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<KmerCountPair>);
-
-struct WideKmerCountPair {
-  kmer::WideKey key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<WideKmerCountPair>);
 
 /// What the selected pipeline spills: exactly its wire payload.
 io::SpillKind spill_kind_of(const PipelineConfig& config, bool wide_keys) {
@@ -103,24 +87,79 @@ struct BinBuckets {
   }
 };
 
-void push_wide_words(std::vector<std::uint64_t>& out,
-                     const kmer::WideKey& key) {
-  std::uint64_t w[2];
-  std::memcpy(w, &key, sizeof(w));
-  out.insert(out.end(), w, w + 2);
+/// Append a key or supermer word to a spill bucket as packed 64-bit words.
+void push_words(std::vector<std::uint64_t>& out, std::uint64_t word) {
+  out.push_back(word);
 }
 
-std::vector<kmer::WideKey> words_to_wide(
-    const std::vector<std::uint64_t>& words) {
-  std::vector<kmer::WideKey> keys(words.size() / 2);
-  std::memcpy(keys.data(), words.data(),
-              keys.size() * sizeof(kmer::WideKey));
-  return keys;
+void push_words(std::vector<std::uint64_t>& out, const kmer::WideKey& word) {
+  out.push_back(word.hi);
+  out.push_back(word.lo);
+}
+
+/// Append a reloaded run's packed 64-bit words to a per-destination buffer
+/// of `Word`s — the one copy of the payload pass 2 makes.
+void append_words(std::vector<std::uint64_t>& out,
+                  const std::vector<std::uint64_t>& words) {
+  out.insert(out.end(), words.begin(), words.end());
+}
+
+void append_words(std::vector<kmer::WideKey>& out,
+                  const std::vector<std::uint64_t>& words) {
+  for (std::size_t i = 0; i + 1 < words.size(); i += 2) {
+    out.push_back(kmer::WideKey{words[i], words[i + 1]});
+  }
+}
+
+/// A supermer's first k-mer, whose minimizer routes and bins it.
+kmer::KmerCode first_kmer(const kmer::PackedSupermer& smer, int k) {
+  return kmer::sub_code(smer.bases, smer.len, 0, k);
+}
+
+kmer::KmerCode first_kmer(const kmer::PackedWideSupermer& smer, int k) {
+  return kmer::wide_sub(kmer::from_key(smer.bases), smer.len, 0, k);
+}
+
+/// Bucket one batch's supermers by spill bin and destination. Word selects
+/// the packing (std::uint64_t, or kmer::WideKey for --wide-supermers); each
+/// supermer routes exactly as the in-memory parse routes it.
+template <typename Word>
+void parse_supermers_into_bins(const io::ReadBatch& mine,
+                               const PipelineConfig& config,
+                               std::uint32_t parts, std::uint32_t bins,
+                               const MinimizerAssignment* assignment,
+                               BinBuckets& buckets, RankMetrics& metrics) {
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
+  const kmer::SupermerConfig smer_config = config.supermer_config();
+  const kmer::MinimizerPolicy policy = config.minimizer_policy();
+  for (const auto& read : mine.reads) {
+    const auto built = [&] {
+      if constexpr (kWide) {
+        return kmer::build_wide_supermers_read(read.bases, smer_config, parts);
+      } else {
+        return kmer::build_supermers_read(read.bases, smer_config, parts);
+      }
+    }();
+    for (const auto& ds : built) {
+      const kmer::KmerCode mini =
+          kmer::minimizer_of(first_kmer(ds.smer, config.k), config.k, policy);
+      const std::uint32_t dest =
+          assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
+      const std::uint32_t bin = spill_bin_of(mini, bins);
+      push_words(buckets.words[bin][dest], ds.smer.bases);
+      buckets.lens[bin][dest].push_back(ds.smer.len);
+      ++metrics.supermers_built;
+      metrics.supermer_bases += ds.smer.len;
+      metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
+                              static_cast<std::uint64_t>(config.k) + 1;
+    }
+  }
 }
 
 /// Parse one pass-1 batch into the bin buckets and state the parse charge.
 /// Mirrors each pipeline's parse routing exactly (same destination
 /// function per k-mer occurrence) and its charge formulas.
+template <typename Traits>
 void parse_into_bins(const io::ReadBatch& mine, const PipelineConfig& config,
                      std::uint32_t parts, std::uint32_t bins,
                      const MinimizerAssignment* assignment,
@@ -132,13 +171,10 @@ void parse_into_bins(const io::ReadBatch& mine, const PipelineConfig& config,
     case PipelineKind::kCpu: {
       for (const auto& read : mine.reads) {
         for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-          kmer::for_each_kmer(
-              fragment, config.k, enc, [&](kmer::KmerCode code) {
-                if (config.canonical) {
-                  code = kmer::canonical(code, config.k, enc);
-                }
-                const std::uint32_t dest = kmer::kmer_partition(code, parts);
-                buckets.words[spill_bin_of(code, bins)][dest].push_back(code);
+          Traits::for_each_routed(
+              fragment, config, enc, parts,
+              [&](std::uint32_t dest, const typename Traits::Wire& key) {
+                push_words(buckets.words[spill_bin_of(key, bins)][dest], key);
                 ++metrics.kmers_parsed;
               });
         }
@@ -164,47 +200,12 @@ void parse_into_bins(const io::ReadBatch& mine, const PipelineConfig& config,
       return;
     }
     case PipelineKind::kGpuSupermer: {
-      const kmer::SupermerConfig smer_config = config.supermer_config();
-      const kmer::MinimizerPolicy policy = config.minimizer_policy();
       if (config.wide_supermers) {
-        for (const auto& read : mine.reads) {
-          for (const kmer::DestinedWideSupermer& ds :
-               kmer::build_wide_supermers_read(read.bases, smer_config,
-                                               parts)) {
-            const kmer::KmerCode first = kmer::wide_sub(
-                kmer::from_key(ds.smer.bases), ds.smer.len, 0, config.k);
-            const kmer::KmerCode mini =
-                kmer::minimizer_of(first, config.k, policy);
-            const std::uint32_t dest =
-                assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
-            const std::uint32_t bin = spill_bin_of(mini, bins);
-            push_wide_words(buckets.words[bin][dest], ds.smer.bases);
-            buckets.lens[bin][dest].push_back(ds.smer.len);
-            ++metrics.supermers_built;
-            metrics.supermer_bases += ds.smer.len;
-            metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
-                                    static_cast<std::uint64_t>(config.k) + 1;
-          }
-        }
+        parse_supermers_into_bins<kmer::WideKey>(mine, config, parts, bins,
+                                                 assignment, buckets, metrics);
       } else {
-        for (const auto& read : mine.reads) {
-          for (const kmer::DestinedSupermer& ds : kmer::build_supermers_read(
-                   read.bases, smer_config, parts)) {
-            const kmer::KmerCode first =
-                kmer::sub_code(ds.smer.bases, ds.smer.len, 0, config.k);
-            const kmer::KmerCode mini =
-                kmer::minimizer_of(first, config.k, policy);
-            const std::uint32_t dest =
-                assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
-            const std::uint32_t bin = spill_bin_of(mini, bins);
-            buckets.words[bin][dest].push_back(ds.smer.bases);
-            buckets.lens[bin][dest].push_back(ds.smer.len);
-            ++metrics.supermers_built;
-            metrics.supermer_bases += ds.smer.len;
-            metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
-                                    static_cast<std::uint64_t>(config.k) + 1;
-          }
-        }
+        parse_supermers_into_bins<std::uint64_t>(mine, config, parts, bins,
+                                                 assignment, buckets, metrics);
       }
       const double work =
           static_cast<double>(metrics.kmers_parsed) /
@@ -244,25 +245,26 @@ void spill_buckets(BinBuckets& buckets,
                    disk.write_volume_seconds(bytes));
 }
 
-/// One pass-2 bin reload: replay every run into per-destination buffers.
+/// One pass-2 bin reload: every run replayed into per-destination buffers.
+template <typename Word>
 struct ReloadedBin {
-  std::vector<std::vector<std::uint64_t>> words;  ///< [dest] packed words
-  std::vector<std::vector<std::uint8_t>> lens;    ///< [dest], supermers only
+  std::vector<std::vector<Word>> words;         ///< [dest]
+  std::vector<std::vector<std::uint8_t>> lens;  ///< [dest], supermers only
   std::uint64_t bytes = 0;
 };
 
-ReloadedBin reload_bin(const std::string& path, io::SpillKind kind, int k,
-                       std::uint32_t parts, const io::DiskModel& disk,
-                       RankMetrics& metrics) {
-  ReloadedBin reloaded;
+template <typename Word>
+ReloadedBin<Word> reload_bin(const std::string& path, io::SpillKind kind,
+                             int k, std::uint32_t parts,
+                             const io::DiskModel& disk, RankMetrics& metrics) {
+  ReloadedBin<Word> reloaded;
   reloaded.words.resize(parts);
   reloaded.lens.resize(parts);
   PhaseScope phase(metrics, kPhaseReload);
   io::SpillBinReader reader(path, kind, k, parts);
   io::SpillRun run;
   while (reader.next(run)) {
-    auto& words = reloaded.words[run.dest];
-    words.insert(words.end(), run.words.begin(), run.words.end());
+    append_words(reloaded.words[run.dest], run.words);
     auto& lens = reloaded.lens[run.dest];
     lens.insert(lens.end(), run.lens.begin(), run.lens.end());
   }
@@ -274,33 +276,104 @@ ReloadedBin reload_bin(const std::string& path, io::SpillKind kind, int k,
   return reloaded;
 }
 
+/// Pass 2 on one rank: reload a bin, exchange its payload exactly as the
+/// in-memory pipeline exchanges it, and run that pipeline's own count phase
+/// against the rank's persistent table. Each call returns the bin's
+/// reloaded bytes.
+struct BinReplay {
+  mpisim::Comm& comm;
+  gpusim::Device* device;  ///< null for the CPU pipeline
+  const PipelineConfig& config;
+  io::SpillKind kind;
+  const io::DiskModel& disk;
+
+  [[nodiscard]] std::uint32_t parts() const {
+    return static_cast<std::uint32_t>(comm.size());
+  }
+  [[nodiscard]] bool staged() const {
+    return config.exchange == ExchangeMode::kStaged;
+  }
+
+  /// k-mer keys on the wire (CPU and GPU k-mer pipelines).
+  template <typename Traits>
+  std::uint64_t keys(const std::string& path, typename Traits::Table& table,
+                     RankMetrics& bm) const {
+    using Key = typename Traits::Wire;
+    ReloadedBin<Key> reloaded =
+        reload_bin<Key>(path, kind, config.k, parts(), disk, bm);
+    mpisim::AlltoallvResult<Key> received;
+    gpusim::DeviceBuffer<Key> d_recv;
+    {
+      PhaseScope phase(bm, kPhaseExchange);
+      ExchangePlan plan(comm, device, staged(), config.hierarchical_exchange);
+      received = plan.exchange(reloaded.words);
+      if (device != nullptr) d_recv = plan.stage_in(received.data);
+      phase.commit_exchange(
+          plan, device != nullptr ? summit::kGpuExchangeOverheadSec : 0.0);
+    }
+    reloaded.words.clear();
+    if constexpr (std::is_same_v<Traits, NarrowKeys>) {
+      if (device != nullptr) {
+        count_gpu_kmers(*device, config, received, d_recv, table, bm);
+        return reloaded.bytes;
+      }
+    }
+    count_cpu<Traits>(received, table, bm);
+    return reloaded.bytes;
+  }
+
+  /// Supermers on the wire: two exchanges (words + lengths), then the
+  /// supermer count kernels — the in-memory §IV dataflow per bin.
+  template <typename Word>
+  std::uint64_t supermers(const std::string& path, HostHashTable& table,
+                          RankMetrics& bm) const {
+    ReloadedBin<Word> reloaded =
+        reload_bin<Word>(path, kind, config.k, parts(), disk, bm);
+    mpisim::AlltoallvResult<Word> recv_words;
+    mpisim::AlltoallvResult<std::uint8_t> recv_lens;
+    gpusim::DeviceBuffer<Word> d_recv_words;
+    gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
+    {
+      PhaseScope phase(bm, kPhaseExchange);
+      ExchangePlan plan(comm, device, staged(), config.hierarchical_exchange);
+      recv_words = plan.exchange(reloaded.words);
+      recv_lens = plan.exchange(reloaded.lens);
+      DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
+      d_recv_words = plan.stage_in(recv_words.data);
+      d_recv_lens = plan.stage_in(recv_lens.data);
+      phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
+    }
+    reloaded.words.clear();
+    reloaded.lens.clear();
+    count_gpu_supermers<Word>(*device, config, recv_words, recv_lens,
+                              d_recv_words, d_recv_lens, table, bm);
+    return reloaded.bytes;
+  }
+};
+
 }  // namespace
 
-CountResult run_ooc_count(io::ReadBatchStream& stream,
-                          const DriverOptions& options) {
+template <typename Traits>
+void run_ooc_count(
+    io::ReadBatchStream& stream, const DriverOptions& options,
+    CountResult& result,
+    std::vector<std::pair<typename Traits::Wire, std::uint64_t>>& counts) {
+  constexpr bool kNarrow = std::is_same_v<Traits, NarrowKeys>;
   const PipelineConfig& config = options.pipeline;
   validate_ooc(options);
 
   const auto nranks = static_cast<std::size_t>(options.nranks);
   const auto parts = static_cast<std::uint32_t>(options.nranks);
   const auto bins = static_cast<std::uint32_t>(options.ooc.bins);
-  const io::SpillKind kind = spill_kind_of(config, /*wide_keys=*/false);
+  const io::SpillKind kind = spill_kind_of(config, !kNarrow);
   const io::DiskModel& disk = options.ooc.disk;
   const bool gpu = config.kind != PipelineKind::kCpu;
   const bool supermers = config.kind == PipelineKind::kGpuSupermer;
   const bool need_assignment =
       supermers && config.partition != PartitionScheme::kMinimizerHash;
 
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
-  CountResult result;
-  result.config = config;
-  result.nranks = options.nranks;
-  result.ranks.resize(nranks);
+  mpisim::Runtime runtime(options.nranks, driver_network(options));
+  start_result(result, options);
 
   // RAII scratch: removed on return and on exception alike.
   io::SpillDir spill(options.ooc.spill_root);
@@ -324,57 +397,35 @@ CountResult run_ooc_count(io::ReadBatchStream& stream,
   std::vector<std::optional<MinimizerAssignment>> assignments(nranks);
 
   // --- pass 1: stream batches, parse, spill ---
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const std::vector<io::ReadBatch> batch_parts =
-        io::partition_by_bases(*batch, options.nranks);
+  for_each_batch(stream, runtime, "rank_spill_pass", [&](const BatchStep& at) {
+    const io::ReadBatch& mine = at.mine;
+    RankMetrics metrics;
+    metrics.reads = mine.size();
+    metrics.bases = mine.total_bases();
 
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = batch_parts[rank];
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_spill_pass");
-      if (rank_span.active()) {
-        rank_span.arg_u64("reads", mine.size());
-        rank_span.arg_u64("bases", mine.total_bases());
-      }
+    if (need_assignment && at.index == 0) {
+      PhaseScope phase(metrics, kPhaseParse);
+      mpisim::CommCapture capture(at.comm);
+      assignments[at.rank] = MinimizerAssignment::build(
+          at.comm, mine, config.supermer_config(), /*sample_stride=*/4,
+          config.partition == PartitionScheme::kNodeAware);
+      const double sampling =
+          static_cast<double>(mine.total_bases()) / 4.0 /
+          (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
+      phase.set_charge(sampling + capture.modeled_seconds(),
+                       sampling + capture.modeled_volume_seconds());
+    }
 
-      RankMetrics metrics;
-      metrics.reads = mine.size();
-      metrics.bases = mine.total_bases();
-
-      if (need_assignment && batch_index == 0) {
-        PhaseScope phase(metrics, kPhaseParse);
-        mpisim::CommCapture capture(comm);
-        assignments[rank] = MinimizerAssignment::build(
-            comm, mine, config.supermer_config(), /*sample_stride=*/4,
-            config.partition == PartitionScheme::kNodeAware);
-        const double sampling =
-            static_cast<double>(mine.total_bases()) / 4.0 /
-            (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
-        phase.set_charge(sampling + capture.modeled_seconds(),
-                         sampling + capture.modeled_volume_seconds());
-      }
-
-      BinBuckets buckets(bins, parts, io::spill_has_lens(kind));
-      parse_into_bins(mine, config, parts, bins,
-                      assignments[rank] ? &*assignments[rank] : nullptr,
-                      buckets, metrics);
-      metrics.peak_resident_bytes =
-          io::resident_read_bytes(mine) + buckets.resident_bytes();
-      spill_buckets(buckets, writers[rank], kind, disk, metrics);
-
-      if (batch_index == 0) {
-        result.ranks[rank] = metrics;
-      } else {
-        accumulate_round(result.ranks[rank], metrics);
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
+    BinBuckets buckets(bins, parts, io::spill_has_lens(kind));
+    const auto& assignment = assignments[at.rank];
+    parse_into_bins<Traits>(mine, config, parts, bins,
+                            assignment ? &*assignment : nullptr, buckets,
+                            metrics);
+    metrics.peak_resident_bytes =
+        io::resident_read_bytes(mine) + buckets.resident_bytes();
+    spill_buckets(buckets, writers[at.rank], kind, disk, metrics);
+    fold_batch(result.ranks[at.rank], metrics, at.index);
+  });
 
   // Flush before pass 2 opens the files for reading; surfaces write errors
   // as exceptions here rather than as ParseError truncations later.
@@ -383,163 +434,38 @@ CountResult run_ooc_count(io::ReadBatchStream& stream,
   }
 
   // --- pass 2: replay each bin through exchange + count ---
-  std::vector<HostHashTable> tables(nranks);
-  std::vector<std::vector<KmerCountPair>> gathered;
+  std::vector<typename Traits::Table> tables(nranks);
+  GatheredCounts<typename Traits::Wire> gathered;
 
   runtime.run([&](mpisim::Comm& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
     trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_replay_pass");
     RankMetrics& total = result.ranks[rank];
-    HostHashTable& table = tables[rank];
-    const bool staged = config.exchange == ExchangeMode::kStaged;
+    auto& table = tables[rank];
 
     std::optional<gpusim::Device> device;
     if (gpu) device.emplace(options.device);
+    const BinReplay replay{comm, device ? &*device : nullptr, config, kind,
+                           disk};
 
     for (std::uint32_t bin = 0; bin < bins; ++bin) {
+      const std::string path =
+          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin));
       // Fresh per-bin ledger: commit_exchange ASSIGNS byte counts and
       // alltoallv times, so they must not overwrite earlier bins' values.
       RankMetrics bm;
-
-      ReloadedBin reloaded = reload_bin(
-          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
-          kind, config.k, parts, disk, bm);
-
-      if (!supermers) {
-        // k-mer keys on the wire, exactly like the in-memory exchange.
-        mpisim::AlltoallvResult<std::uint64_t> received;
-        gpusim::DeviceBuffer<std::uint64_t> d_recv;
-        {
-          PhaseScope phase(bm, kPhaseExchange);
-          ExchangePlan plan(comm, gpu ? &*device : nullptr, staged,
-                            config.hierarchical_exchange);
-          received = plan.exchange(reloaded.words);
-          if (gpu) d_recv = plan.stage_in(received.data);
-          phase.commit_exchange(
-              plan, gpu ? summit::kGpuExchangeOverheadSec : 0.0);
+      std::uint64_t reloaded_bytes = 0;
+      if constexpr (kNarrow) {
+        if (supermers) {
+          reloaded_bytes =
+              config.wide_supermers
+                  ? replay.supermers<kmer::WideKey>(path, table, bm)
+                  : replay.supermers<std::uint64_t>(path, table, bm);
         }
-        reloaded.words.clear();
-
-        if (gpu) {
-          PhaseScope phase(bm, kPhaseCount, *device);
-          DeviceHashTable bin_table(*device, received.data.size(),
-                                    config.table_headroom, config.smem_agg);
-          bin_table.count_kmers(d_recv, received.data.size());
-          device->free(d_recv);
-          for (const auto& [key, count] : bin_table.to_host()) {
-            table.add(key, count);
-          }
-          bm.kmers_received = received.data.size();
-          phase.set_device_floor_charge(
-              static_cast<double>(bm.kmers_received) /
-                  summit::kGpuCountKmersPerSec,
-              summit::kGpuCountOverheadSec);
-        } else {
-          PhaseScope phase(bm, kPhaseCount);
-          for (const std::uint64_t key : received.data) {
-            table.add(key);
-          }
-          bm.kmers_received = received.data.size();
-          phase.set_uniform_charge(static_cast<double>(bm.kmers_received) /
-                                   summit::kCpuCountKmersPerSec);
-        }
-        bm.peak_resident_bytes = reloaded.bytes + bm.bytes_sent +
-                                 bm.bytes_received;
-        accumulate_round(total, bm);
-        continue;
       }
-
-      // Supermers on the wire: two exchanges (words + lengths), then the
-      // supermer count kernels — the in-memory §IV dataflow per bin.
-      if (config.wide_supermers) {
-        std::vector<std::vector<kmer::WideKey>> out_words(parts);
-        for (std::uint32_t dest = 0; dest < parts; ++dest) {
-          out_words[dest] = words_to_wide(reloaded.words[dest]);
-        }
-        mpisim::AlltoallvResult<kmer::WideKey> recv_words;
-        mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-        gpusim::DeviceBuffer<kmer::WideKey> d_recv_words;
-        gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-        {
-          PhaseScope phase(bm, kPhaseExchange);
-          ExchangePlan plan(comm, &*device, staged,
-                            config.hierarchical_exchange);
-          recv_words = plan.exchange(out_words);
-          recv_lens = plan.exchange(reloaded.lens);
-          DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-          d_recv_words = plan.stage_in(recv_words.data);
-          d_recv_lens = plan.stage_in(recv_lens.data);
-          phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-        }
-        reloaded.words.clear();
-        reloaded.lens.clear();
-
-        PhaseScope phase(bm, kPhaseCount, *device);
-        bm.supermers_received = recv_words.data.size();
-        std::uint64_t kmers_to_count = 0;
-        for (const std::uint8_t len : recv_lens.data) {
-          kmers_to_count += static_cast<std::uint64_t>(len) -
-                            static_cast<std::uint64_t>(config.k) + 1;
-        }
-        DeviceHashTable bin_table(*device, kmers_to_count,
-                                  config.table_headroom, config.smem_agg);
-        bin_table.count_wide_supermers(d_recv_words, d_recv_lens,
-                                       recv_words.data.size(), config.k);
-        device->free(d_recv_words);
-        device->free(d_recv_lens);
-        for (const auto& [key, count] : bin_table.to_host()) {
-          table.add(key, count);
-        }
-        bm.kmers_received = kmers_to_count;
-        phase.set_device_floor_charge(
-            static_cast<double>(kmers_to_count) /
-                (summit::kGpuCountKmersPerSec /
-                 summit::kSupermerCountOverhead),
-            summit::kGpuCountOverheadSec);
-      } else {
-        mpisim::AlltoallvResult<std::uint64_t> recv_words;
-        mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-        gpusim::DeviceBuffer<std::uint64_t> d_recv_words;
-        gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-        {
-          PhaseScope phase(bm, kPhaseExchange);
-          ExchangePlan plan(comm, &*device, staged,
-                            config.hierarchical_exchange);
-          recv_words = plan.exchange(reloaded.words);
-          recv_lens = plan.exchange(reloaded.lens);
-          DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-          d_recv_words = plan.stage_in(recv_words.data);
-          d_recv_lens = plan.stage_in(recv_lens.data);
-          phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-        }
-        reloaded.words.clear();
-        reloaded.lens.clear();
-
-        PhaseScope phase(bm, kPhaseCount, *device);
-        bm.supermers_received = recv_words.data.size();
-        std::uint64_t kmers_to_count = 0;
-        for (const std::uint8_t len : recv_lens.data) {
-          kmers_to_count += static_cast<std::uint64_t>(len) -
-                            static_cast<std::uint64_t>(config.k) + 1;
-        }
-        DeviceHashTable bin_table(*device, kmers_to_count,
-                                  config.table_headroom, config.smem_agg);
-        bin_table.count_supermers(d_recv_words, d_recv_lens,
-                                  recv_words.data.size(), config.k);
-        device->free(d_recv_words);
-        device->free(d_recv_lens);
-        for (const auto& [key, count] : bin_table.to_host()) {
-          table.add(key, count);
-        }
-        bm.kmers_received = kmers_to_count;
-        phase.set_device_floor_charge(
-            static_cast<double>(kmers_to_count) /
-                (summit::kGpuCountKmersPerSec /
-                 summit::kSupermerCountOverhead),
-            summit::kGpuCountOverheadSec);
-      }
+      if (!supermers) reloaded_bytes = replay.keys<Traits>(path, table, bm);
       bm.peak_resident_bytes =
-          reloaded.bytes + bm.bytes_sent + bm.bytes_received;
+          reloaded_bytes + bm.bytes_sent + bm.bytes_received;
       accumulate_round(total, bm);
     }
 
@@ -548,194 +474,17 @@ CountResult run_ooc_count(io::ReadBatchStream& stream,
     trace::counter("spill_bytes_written", total.spill_bytes_written);
     trace::counter("spill_bytes_read", total.spill_bytes_read);
     trace::counter("peak_resident_bytes", total.peak_resident_bytes);
-
-    if (options.collect_counts) {
-      std::vector<KmerCountPair> entries;
-      entries.reserve(table.unique());
-      table.for_each([&](std::uint64_t key, std::uint64_t count) {
-        entries.push_back({key, count});
-      });
-      auto all = comm.gatherv(entries, /*root=*/0);
-      if (comm.rank() == 0) gathered = std::move(all);
-    }
+    if (options.collect_counts) gather_counts(comm, table, gathered);
   });
 
-  if (options.collect_counts) {
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.global_counts.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts(result.global_counts);
-  }
-  return result;
+  if (options.collect_counts) counts = merge_gathered_counts(gathered);
 }
 
-WideCountResult run_ooc_count_wide(io::ReadBatchStream& stream,
-                                   const DriverOptions& options) {
-  const PipelineConfig& config = options.pipeline;
-  validate_ooc(options);
-
-  const auto nranks = static_cast<std::size_t>(options.nranks);
-  const auto parts = static_cast<std::uint32_t>(options.nranks);
-  const auto bins = static_cast<std::uint32_t>(options.ooc.bins);
-  const io::SpillKind kind = io::SpillKind::kWideKmerKeys;
-  const io::DiskModel& disk = options.ooc.disk;
-  const io::BaseEncoding enc = config.encoding();
-
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
-  WideCountResult result;
-  result.base.config = config;
-  result.base.nranks = options.nranks;
-  result.base.ranks.resize(nranks);
-
-  io::SpillDir spill(options.ooc.spill_root);
-  std::vector<std::vector<std::unique_ptr<io::SpillBinWriter>>> writers(
-      nranks);
-  for (std::size_t rank = 0; rank < nranks; ++rank) {
-    writers[rank].reserve(bins);
-    for (std::uint32_t bin = 0; bin < bins; ++bin) {
-      writers[rank].push_back(std::make_unique<io::SpillBinWriter>(
-          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
-          kind, config.k, parts));
-    }
-  }
-
-  // --- pass 1 ---
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const std::vector<io::ReadBatch> batch_parts =
-        io::partition_by_bases(*batch, options.nranks);
-
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = batch_parts[rank];
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_spill_pass");
-
-      RankMetrics metrics;
-      metrics.reads = mine.size();
-      metrics.bases = mine.total_bases();
-
-      BinBuckets buckets(bins, parts, /*has_lens=*/false);
-      {
-        PhaseScope phase(metrics, kPhaseParse);
-        for (const auto& read : mine.reads) {
-          for (std::string_view fragment :
-               kmer::acgt_fragments(read.bases)) {
-            kmer::for_each_wide_kmer(
-                fragment, config.k, enc, [&](kmer::WideCode code) {
-                  if (config.canonical) {
-                    code = kmer::wide_canonical(code, config.k, enc);
-                  }
-                  const kmer::WideKey key = kmer::to_key(code);
-                  const std::uint32_t dest =
-                      kmer::wide_kmer_partition(code, parts);
-                  const std::uint32_t bin = hash::to_partition(
-                      kmer::hash_wide(key, kSpillBinSeed), bins);
-                  push_wide_words(buckets.words[bin][dest], key);
-                  ++metrics.kmers_parsed;
-                });
-          }
-        }
-        phase.set_uniform_charge(static_cast<double>(metrics.bases) /
-                                 summit::kCpuParseBasesPerSec);
-      }
-      metrics.peak_resident_bytes =
-          io::resident_read_bytes(mine) + buckets.resident_bytes();
-      spill_buckets(buckets, writers[rank], kind, disk, metrics);
-
-      if (batch_index == 0) {
-        result.base.ranks[rank] = metrics;
-      } else {
-        accumulate_round(result.base.ranks[rank], metrics);
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
-
-  for (auto& row : writers) {
-    for (auto& writer : row) writer->close();
-  }
-
-  // --- pass 2 ---
-  std::vector<WideHostHashTable> tables(nranks);
-  std::vector<std::vector<WideKmerCountPair>> gathered;
-
-  runtime.run([&](mpisim::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_replay_pass");
-    RankMetrics& total = result.base.ranks[rank];
-    WideHostHashTable& table = tables[rank];
-
-    for (std::uint32_t bin = 0; bin < bins; ++bin) {
-      RankMetrics bm;
-      ReloadedBin reloaded = reload_bin(
-          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
-          kind, config.k, parts, disk, bm);
-
-      mpisim::AlltoallvResult<kmer::WideKey> received;
-      {
-        PhaseScope phase(bm, kPhaseExchange);
-        ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false,
-                          config.hierarchical_exchange);
-        std::vector<std::vector<kmer::WideKey>> out_words(parts);
-        for (std::uint32_t dest = 0; dest < parts; ++dest) {
-          out_words[dest] = words_to_wide(reloaded.words[dest]);
-        }
-        received = plan.exchange(out_words);
-        phase.commit_exchange(plan);
-      }
-      reloaded.words.clear();
-
-      {
-        PhaseScope phase(bm, kPhaseCount);
-        for (const kmer::WideKey& key : received.data) {
-          table.add(key);
-        }
-        bm.kmers_received = received.data.size();
-        phase.set_uniform_charge(static_cast<double>(bm.kmers_received) /
-                                 summit::kCpuCountKmersPerSec);
-      }
-      bm.peak_resident_bytes =
-          reloaded.bytes + bm.bytes_sent + bm.bytes_received;
-      accumulate_round(total, bm);
-    }
-
-    total.unique_kmers = table.unique();
-    total.counted_kmers = table.total();
-    trace::counter("spill_bytes_written", total.spill_bytes_written);
-    trace::counter("spill_bytes_read", total.spill_bytes_read);
-    trace::counter("peak_resident_bytes", total.peak_resident_bytes);
-
-    if (options.collect_counts) {
-      std::vector<WideKmerCountPair> entries;
-      entries.reserve(table.unique());
-      table.for_each([&](const kmer::WideKey& key, std::uint64_t count) {
-        entries.push_back({key, count});
-      });
-      auto all = comm.gatherv(entries, /*root=*/0);
-      if (comm.rank() == 0) gathered = std::move(all);
-    }
-  });
-
-  if (options.collect_counts) {
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.global_counts.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts_wide(result.global_counts);
-  }
-  return result;
-}
+template void run_ooc_count<NarrowKeys>(
+    io::ReadBatchStream&, const DriverOptions&, CountResult&,
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>&);
+template void run_ooc_count<WideKeys>(
+    io::ReadBatchStream&, const DriverOptions&, CountResult&,
+    std::vector<std::pair<kmer::WideKey, std::uint64_t>>&);
 
 }  // namespace dedukt::core

@@ -30,33 +30,22 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <utility>
 #include <vector>
 
+#include "batch_driver.hpp"
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/kernels.hpp"
-#include "dedukt/core/ooc.hpp"
 #include "dedukt/core/phase_scope.hpp"
 #include "dedukt/core/round_runner.hpp"
 #include "dedukt/core/sketch.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/mpisim/runtime.hpp"
-#include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::core {
 
 namespace {
-
-/// Wire format for gathering heavy-hitter candidates to rank 0 (same shape
-/// as the exact driver's table gather).
-struct KmerCount {
-  std::uint64_t key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<KmerCount>);
 
 SketchParams params_from(const PipelineConfig& config) {
   SketchParams params;
@@ -288,17 +277,10 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
   const bool device_kind = config.kind != PipelineKind::kCpu;
   const bool heavy = config.heavy_threshold > 0;
 
-  const auto nranks = static_cast<std::size_t>(options.nranks);
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
+  mpisim::Runtime runtime(options.nranks, driver_network(options));
   CountResult result;
-  result.config = config;
-  result.nranks = options.nranks;
-  result.ranks.resize(nranks);
+  start_result(result, options);
+  const auto nranks = static_cast<std::size_t>(options.nranks);
   result.sketch.enabled = true;
   result.sketch.width = params.width;
   result.sketch.depth = params.depth;
@@ -320,125 +302,76 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
   std::vector<std::vector<io::ReadBatch>> retained(nranks);
 
   // Written only by rank 0 inside the run; read after the run returns.
-  std::vector<std::vector<KmerCount>> gathered;
+  GatheredCounts<std::uint64_t> gathered;
 
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();  // empty input: one empty batch
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const bool last = !following;
-    const std::vector<io::ReadBatch> parts =
-        io::partition_by_bases(*batch, options.nranks);
-
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = parts[rank];
-
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_pipeline");
-      if (rank_span.active()) {
-        rank_span.arg_u64("reads", mine.size());
-        rank_span.arg_u64("bases", mine.total_bases());
-      }
-
-      std::optional<gpusim::Device> device;
-      if (device_kind) device.emplace(options.device);
-      RankMetrics metrics = run_sketch_rank(
-          comm, device ? &*device : nullptr, mine, config, sketches[rank]);
-      if (heavy) {
-        retained[rank].push_back(mine);
-        retained_bytes[rank] += io::resident_read_bytes(mine);
-      }
-      peaks[rank] = std::max(
-          peaks[rank], std::max(io::resident_read_bytes(mine),
-                                retained_bytes[rank]) +
-                           params.bytes());
-      if (batch_index == 0) {
-        result.ranks[rank] = metrics;
-      } else {
-        RankMetrics& total = result.ranks[rank];
-        accumulate_round(total, metrics);
-        total.unique_kmers = metrics.unique_kmers;
-        total.counted_kmers = metrics.counted_kmers;
-      }
-
-      if (last) {
-        // Cell-wise-sum merge of the per-rank sketches — the sketch
-        // backend's entire exchange, charged to the exchange phase so the
-        // Figure 3/7 breakdown keeps its meaning.
-        std::vector<std::uint32_t> merged;
-        {
-          RankMetrics merge_metrics;
-          {
-            PhaseScope phase(merge_metrics, kPhaseExchange);
-            mpisim::CommCapture capture(comm);
-            merged = comm.allreduce_vector(sketches[rank].cells(),
-                                           mpisim::ReduceOp::kSum);
-            merge_metrics.bytes_sent = capture.bytes_sent();
-            merge_metrics.bytes_received = capture.bytes_received();
-            phase.set_charge(capture.modeled_seconds(),
-                             capture.modeled_volume_seconds());
-          }
-          accumulate_round(result.ranks[rank], merge_metrics);
-        }
-
-        // The u32-cell contract: vanilla cells sum every occurrence that
-        // hashes to them, so the global stream length bounds any cell.
-        const std::uint64_t global_total = comm.allreduce(
-            sketches[rank].total_updates(), mpisim::ReduceOp::kSum);
-        DEDUKT_REQUIRE_MSG(
-            global_total <=
-                std::numeric_limits<std::uint32_t>::max(),
-            "sketch cells are u32; the global k-mer stream ("
-                << global_total << ") would overflow them");
-        if (rank == 0) {
-          result.sketch.sketched_kmers = global_total;
-          result.sketch.cells = merged;
-        }
-
-        if (heavy) {
-          RankMetrics pass2;
-          for (const io::ReadBatch& kept : retained[rank]) {
-            std::optional<gpusim::Device> device;
-            if (device_kind) device.emplace(options.device);
-            accumulate_round(
-                pass2, run_heavy_pass(device ? &*device : nullptr, kept,
-                                      config, merged,
-                                      candidate_tables[rank]));
-          }
-          accumulate_round(result.ranks[rank], pass2);
-
-          std::vector<KmerCount> entries;
-          entries.reserve(candidate_tables[rank].unique());
-          candidate_tables[rank].for_each(
-              [&](std::uint64_t key, std::uint64_t count) {
-                entries.push_back({key, count});
-              });
-          auto all = comm.gatherv(entries, /*root=*/0);
-          if (comm.rank() == 0) gathered = std::move(all);
-        }
-
-        if (batch_index > 0) {
-          result.ranks[rank].peak_resident_bytes = peaks[rank];
-          trace::counter("peak_resident_bytes", peaks[rank]);
-        }
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
-
-  if (heavy) {
-    std::size_t total = 0;
-    for (const auto& part : gathered) total += part.size();
-    result.sketch.heavy_hitters.reserve(total);
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.sketch.heavy_hitters.emplace_back(entry.key, entry.count);
-      }
+  for_each_batch(stream, runtime, "rank_pipeline", [&](const BatchStep& at) {
+    const std::size_t rank = at.rank;
+    const io::ReadBatch& mine = at.mine;
+    mpisim::Comm& comm = at.comm;
+    std::optional<gpusim::Device> device;
+    if (device_kind) device.emplace(options.device);
+    RankMetrics metrics = run_sketch_rank(
+        comm, device ? &*device : nullptr, mine, config, sketches[rank]);
+    if (heavy) {
+      retained[rank].push_back(mine);
+      retained_bytes[rank] += io::resident_read_bytes(mine);
     }
-    detail::merge_gathered_counts(result.sketch.heavy_hitters);
-  }
+    peaks[rank] = std::max(
+        peaks[rank], std::max(io::resident_read_bytes(mine),
+                              retained_bytes[rank]) +
+                         params.bytes());
+    fold_batch(result.ranks[rank], metrics, at.index);
+    if (!at.last) return;
+    // Cell-wise-sum merge of the per-rank sketches — the sketch
+    // backend's entire exchange, charged to the exchange phase so the
+    // Figure 3/7 breakdown keeps its meaning.
+    std::vector<std::uint32_t> merged;
+    {
+      RankMetrics merge_metrics;
+      {
+        PhaseScope phase(merge_metrics, kPhaseExchange);
+        mpisim::CommCapture capture(comm);
+        merged = comm.allreduce_vector(sketches[rank].cells(),
+                                       mpisim::ReduceOp::kSum);
+        merge_metrics.bytes_sent = capture.bytes_sent();
+        merge_metrics.bytes_received = capture.bytes_received();
+        phase.set_charge(capture.modeled_seconds(),
+                         capture.modeled_volume_seconds());
+      }
+      accumulate_round(result.ranks[rank], merge_metrics);
+    }
+
+    // The u32-cell contract: vanilla cells sum every occurrence that
+    // hashes to them, so the global stream length bounds any cell.
+    const std::uint64_t global_total = comm.allreduce(
+        sketches[rank].total_updates(), mpisim::ReduceOp::kSum);
+    DEDUKT_REQUIRE_MSG(
+        global_total <=
+            std::numeric_limits<std::uint32_t>::max(),
+        "sketch cells are u32; the global k-mer stream ("
+            << global_total << ") would overflow them");
+    if (rank == 0) {
+      result.sketch.sketched_kmers = global_total;
+      result.sketch.cells = merged;
+    }
+
+    if (heavy) {
+      RankMetrics pass2;
+      for (const io::ReadBatch& kept : retained[rank]) {
+        std::optional<gpusim::Device> device;
+        if (device_kind) device.emplace(options.device);
+        accumulate_round(
+            pass2, run_heavy_pass(device ? &*device : nullptr, kept,
+                                  config, merged,
+                                  candidate_tables[rank]));
+      }
+      accumulate_round(result.ranks[rank], pass2);
+
+      gather_counts(comm, candidate_tables[rank], gathered);
+    }
+    report_streamed_peak(result.ranks[rank], peaks[rank], at.index);
+  });
+  if (heavy) result.sketch.heavy_hitters = merge_gathered_counts(gathered);
   return result;
 }
 

@@ -193,8 +193,21 @@ class Device {
   template <typename Kernel>
   LaunchStats launch_ordered(const char* name, std::uint32_t grid_dim,
                              std::uint32_t block_dim, Kernel&& kernel) {
-    return launch_impl(name, grid_dim, block_dim, /*phases=*/1,
-                       /*ordered=*/true, std::forward<Kernel>(kernel));
+    return launch_ordered(name, grid_dim, block_dim, /*phases=*/1,
+                          std::forward<Kernel>(kernel));
+  }
+
+  /// Order-pinned phased launch: the phased launch's shared-memory
+  /// sections with the canonical block order of launch_ordered. Kernels
+  /// whose per-item decision depends on which occurrence got there first
+  /// (the Bloom filter's test-and-set) need it for charges that are
+  /// identical at every pool size.
+  template <typename Kernel>
+  LaunchStats launch_ordered(const char* name, std::uint32_t grid_dim,
+                             std::uint32_t block_dim, std::uint32_t phases,
+                             Kernel&& kernel) {
+    return launch_impl(name, grid_dim, block_dim, phases, /*ordered=*/true,
+                       std::forward<Kernel>(kernel));
   }
 
  private:

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/io/fastq.hpp"
 #include "dedukt/io/synthetic.hpp"
 
@@ -29,7 +30,7 @@ AppResult run(std::vector<std::string> args) {
 }
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test::scratch_path(name);
 }
 
 TEST(AppTest, NoArgsPrintsUsageAndFails) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/ooc.hpp"
 #include "dedukt/io/read_stream.hpp"
@@ -47,7 +48,7 @@ io::ReadBatch parity_reads() {
 }
 
 std::string spill_root() {
-  return ::testing::TempDir() + "dedukt-ooc-parity";
+  return test::scratch_path("dedukt-ooc-parity");
 }
 
 // --- deterministic identity rendering ----------------------------------

@@ -1,14 +1,18 @@
 // End-to-end determinism across DEDUKT_SIM_THREADS: the full k-mer and
 // supermer pipelines must produce bit-identical spectra, work counts, and
 // modeled times whether the simulated kernels run sequentially or on a
-// pool of host workers. (The Bloom-filtered path is excluded by design —
-// its ±1-false-positive outcomes depend on filter fill *order*; see
-// docs/performance-model.md.)
+// pool of host workers. That includes the Bloom-filtered path, whose
+// kernels launch order-pinned because which occurrence the filter absorbs
+// depends on block order (docs/performance-model.md).
 #include "dedukt/core/driver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "dedukt/io/datasets.hpp"
+#include "dedukt/trace/trace.hpp"
 #include "dedukt/util/thread_pool.hpp"
 
 namespace dedukt::core {
@@ -24,10 +28,11 @@ io::ReadBatch preset_reads() {
 }
 
 CountResult run_at(unsigned threads, PipelineKind kind,
-                   const io::ReadBatch& reads) {
+                   const io::ReadBatch& reads, bool filtered = false) {
   util::ThreadPool::set_global_threads(threads);
   DriverOptions options;
   options.pipeline.kind = kind;
+  options.pipeline.filter_singletons = filtered;
   options.nranks = 4;
   return run_distributed_count(reads, options);
 }
@@ -82,6 +87,41 @@ TEST(SimThreadsDeterminismTest, SupermerPipelineIdenticalAcrossPoolSizes) {
     expect_identical(run_at(threads, PipelineKind::kGpuSupermer, reads),
                      sequential, threads);
   }
+}
+
+/// A Bloom-filtered run plus its trace metrics JSON on the modeled clock.
+/// The JSON carries every kernel's launch counters (shared-memory atomics
+/// and traffic), which the floored phase charges can hide; which
+/// occurrence the filter absorbs shows up there first.
+std::pair<CountResult, std::string> run_filtered_at(
+    unsigned threads, PipelineKind kind, const io::ReadBatch& reads) {
+  auto& session = trace::TraceSession::instance();
+  session.reset();
+  session.enable("");
+  CountResult result = run_at(threads, kind, reads, /*filtered=*/true);
+  std::string metrics = session.metrics().to_json(/*include_wall=*/false);
+  session.disable();
+  return {std::move(result), std::move(metrics)};
+}
+
+void expect_filtered_identical(PipelineKind kind) {
+  PoolGuard guard;
+  const io::ReadBatch reads = preset_reads();
+  const auto [sequential, sequential_metrics] =
+      run_filtered_at(1, kind, reads);
+  EXPECT_GT(sequential.global_counts.size(), 0u);
+  const auto [pooled, pooled_metrics] = run_filtered_at(4, kind, reads);
+  expect_identical(pooled, sequential, 4);
+  EXPECT_EQ(pooled_metrics, sequential_metrics);
+}
+
+TEST(SimThreadsDeterminismTest, FilteredKmerPipelineIdenticalAcrossPoolSizes) {
+  expect_filtered_identical(PipelineKind::kGpuKmer);
+}
+
+TEST(SimThreadsDeterminismTest,
+     FilteredSupermerPipelineIdenticalAcrossPoolSizes) {
+  expect_filtered_identical(PipelineKind::kGpuSupermer);
 }
 
 TEST(SimThreadsDeterminismTest, Kmc2OrderAlsoDeterministic) {

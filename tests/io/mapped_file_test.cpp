@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/io/dna.hpp"
 #include "dedukt/io/mapped_file.hpp"
 #include "dedukt/store/shard.hpp"
@@ -23,12 +24,7 @@
 namespace dedukt::io {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::fresh_dir;
 
 std::vector<std::byte> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

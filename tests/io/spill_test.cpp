@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::io {
@@ -17,7 +18,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string test_root() { return ::testing::TempDir() + "dedukt-spill-test"; }
+std::string test_root() { return test::scratch_path("dedukt-spill-test"); }
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

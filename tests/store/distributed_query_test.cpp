@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/core/app.hpp"
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/store_export.hpp"
@@ -27,12 +28,7 @@
 namespace dedukt::store {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::fresh_dir;
 
 /// One pipeline-built store shared by the whole battery (built once).
 const std::string& pipeline_store_dir() {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/store_export.hpp"
 #include "dedukt/gpusim/device.hpp"
@@ -21,12 +22,7 @@
 namespace dedukt::store {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::fresh_dir;
 
 /// One pipeline-built store shared by the whole battery (built once).
 const std::string& pipeline_store_dir() {

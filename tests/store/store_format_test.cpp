@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_scratch.hpp"
 #include "dedukt/kmer/kmer.hpp"
 #include "dedukt/store/manifest.hpp"
 #include "dedukt/store/shard.hpp"
@@ -16,7 +17,7 @@ namespace dedukt::store {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test::scratch_path(name);
 }
 
 std::string slurp(const std::string& path) {
