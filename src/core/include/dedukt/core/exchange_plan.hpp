@@ -5,18 +5,17 @@
 //      ExchangeMode::kStaged, a free memcpy under GPUDirect),
 //   2. slice it into per-destination buffers from the parse stage's
 //      counts/offsets,
-//   3. Alltoallv,
+//   3. post the Alltoallv — blocking in lockstep rounds, an ialltoallv when
+//      rounds overlap — and wait for it,
 //   4. stage the received payload back onto the device (priced H2D when
 //      staged), and
 //   5. charge the phase: exact byte counts, the Alltoallv-routine time
 //      alone (Fig. 8's metric), and the full exchange charge
 //      (routine + staging copies + constant overhead).
-// These used to be copy-pasted across four translation units with subtle
-// drift; ExchangePlan owns all of them. Construct one at the top of the
-// exchange phase (it snapshots the communication and device ledgers), call
-// the steps the pipeline needs — multi-buffer exchanges like the supermer
-// pipeline's words+lengths simply call them twice — and finish with
-// PhaseScope::commit_exchange.
+// Construct one at the top of the exchange phase (it snapshots the
+// communication and device ledgers), call the steps the pipeline needs —
+// multi-buffer exchanges like the supermer pipeline's words+lengths simply
+// call them twice — and finish with PhaseScope::commit_exchange.
 #pragma once
 
 #include <algorithm>
@@ -48,15 +47,18 @@ class ExchangePlan {
   /// staging charge). `staged` selects priced host staging vs GPUDirect.
   /// `hierarchical` routes step 3 through the two-level topology-aware
   /// exchange (Comm::hierarchical_alltoallv) instead of the flat one.
+  /// `overlapped` posts step 3 as a nonblocking ialltoallv; otherwise post()
+  /// runs the blocking collective (the lockstep schedule).
   ExchangePlan(mpisim::Comm& comm, gpusim::Device* device, bool staged,
-               bool hierarchical = false)
+               bool hierarchical = false, bool overlapped = false)
       : comm_(comm),
         device_(device),
         staged_(staged),
         hierarchical_(hierarchical),
-        comm_capture_(comm) {
-    if (device_ != nullptr) device_capture_.emplace(*device_);
-  }
+        overlapped_(overlapped),
+        comm_capture_(comm),
+        device_start_(device != nullptr ? device->timeline()
+                                        : gpusim::DeviceTimeline{}) {}
 
   ExchangePlan(const ExchangePlan&) = delete;
   ExchangePlan& operator=(const ExchangePlan&) = delete;
@@ -79,38 +81,8 @@ class ExchangePlan {
   }
 
   /// Steps 2+3: slice a staged buffer by the parse stage's per-destination
-  /// counts/offsets and run the Alltoallv.
-  template <typename T>
-  [[nodiscard]] mpisim::AlltoallvResult<T> exchange(
-      const std::vector<T>& staged_flat,
-      const std::vector<std::uint32_t>& counts,
-      const std::vector<std::uint64_t>& offsets) {
-    const auto parts = static_cast<std::uint32_t>(comm_.size());
-    DEDUKT_CHECK(counts.size() == parts && offsets.size() == parts);
-    std::vector<std::vector<T>> outgoing(parts);
-    for (std::uint32_t dest = 0; dest < parts; ++dest) {
-      outgoing[dest].assign(
-          staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]),
-          staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]) +
-              counts[dest]);
-    }
-    return hierarchical_ ? comm_.hierarchical_alltoallv(outgoing)
-                         : comm_.alltoallv(outgoing);
-  }
-
-  /// Step 3 for pipelines that bucket per destination while parsing (the
-  /// CPU pipelines, source-side consolidation).
-  template <typename T>
-  [[nodiscard]] mpisim::AlltoallvResult<T> exchange(
-      const std::vector<std::vector<T>>& outgoing) {
-    return hierarchical_ ? comm_.hierarchical_alltoallv(outgoing)
-                         : comm_.alltoallv(outgoing);
-  }
-
-  /// Nonblocking variant of step 3 (overlap_rounds): post the exchange and
-  /// return the request; the payload is copied at post time, so the sliced
-  /// temporary buffers need not outlive this call. Completion — and the
-  /// plan's comm-capture charges — happen at Request::wait().
+  /// counts/offsets and post the Alltoallv. The sliced buffers need not
+  /// outlive this call.
   template <typename T>
   [[nodiscard]] mpisim::Request<T> post(
       const std::vector<T>& staged_flat,
@@ -125,14 +97,21 @@ class ExchangePlan {
           staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]) +
               counts[dest]);
     }
-    return comm_.ialltoallv(outgoing, hierarchical_);
+    return post(outgoing);
   }
 
-  /// Nonblocking step 3 for per-destination-bucketed payloads.
+  /// Step 3 for payloads bucketed per destination (the CPU pipelines,
+  /// source-side consolidation, out-of-core bins). In lockstep the blocking
+  /// collective runs and charges here, and the returned request already
+  /// holds its result; overlapped, the payload is copied at post time and
+  /// delivery and charges happen at Request::wait().
   template <typename T>
   [[nodiscard]] mpisim::Request<T> post(
       const std::vector<std::vector<T>>& outgoing) {
-    return comm_.ialltoallv(outgoing, hierarchical_);
+    if (overlapped_) return comm_.ialltoallv(outgoing, hierarchical_);
+    return mpisim::Request<T>::completed(
+        comm_, hierarchical_ ? comm_.hierarchical_alltoallv(outgoing)
+                             : comm_.alltoallv(outgoing));
   }
 
   /// Step 4: move a received payload onto the device (at least one slot so
@@ -190,13 +169,15 @@ class ExchangePlan {
   /// Modeled time the staging copies added on the host link (zero under
   /// GPUDirect and for host-only pipelines).
   [[nodiscard]] double staging_seconds() const {
-    return staged_ && device_capture_.has_value()
-               ? device_capture_->modeled_seconds()
+    return staged_ && device_ != nullptr
+               ? device_->timeline().total_seconds() -
+                     device_start_.total_seconds()
                : 0.0;
   }
   [[nodiscard]] double staging_volume_seconds() const {
-    return staged_ && device_capture_.has_value()
-               ? device_capture_->modeled_volume_seconds()
+    return staged_ && device_ != nullptr
+               ? device_->timeline().volume_seconds -
+                     device_start_.volume_seconds
                : 0.0;
   }
 
@@ -213,9 +194,12 @@ class ExchangePlan {
   mpisim::Comm& comm_;
   gpusim::Device* device_;
   const bool staged_;
-  const bool hierarchical_ = false;
+  const bool hierarchical_;
+  const bool overlapped_;
   mpisim::CommCapture comm_capture_;
-  std::optional<gpusim::DeviceCapture> device_capture_;
+  /// The device timeline at construction (zero without a device); staging
+  /// charges are deltas from it, like gpusim::DeviceCapture's.
+  const gpusim::DeviceTimeline device_start_;
 };
 
 inline void PhaseScope::commit_exchange(const ExchangePlan& plan,

@@ -5,17 +5,18 @@
 // per-job setup (e.g. the supermer pipeline's frequency-balanced routing
 // table — built once per job, *after* the round planning collective, so the
 // ledger deltas match the pre-framework pipelines bit for bit), and hand
-// `run()` a callable that executes one round. The runner splits the rank's
-// reads into base-balanced sub-batches, runs the rounds in lockstep with
-// every other rank, folds each round's ledger into the total, and derives
-// the final table-dependent fields.
+// `run_stages()` the pipeline's round, described once as a Stages struct
+// (parse / post / receive / count). The runner splits the rank's reads into
+// base-balanced sub-batches and drives the stages over every round in the
+// schedule PipelineConfig::overlap_rounds selects — lockstep, or with each
+// round's exchange in flight while the next round parses — folds each
+// round's ledger into the total, and derives the final table-dependent
+// fields.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -76,20 +77,32 @@ inline void accumulate_round(RankMetrics& total, const RankMetrics& round) {
       std::max(total.peak_resident_bytes, round.peak_resident_bytes);
 }
 
-/// Knobs of the overlapped exchange shared by all pipelines: which device
-/// stages the buffers (null for host-only pipelines), whether staging is
-/// priced (ExchangeMode::kStaged), and the constant exchange-phase
-/// overhead.
-struct OverlapExchangeSpec {
+/// How a pipeline's exchange stage touches the device: which device stages
+/// the buffers (null for host-only pipelines), whether staging is priced
+/// (ExchangeMode::kStaged), and the constant exchange-phase overhead.
+struct ExchangeSpec {
   gpusim::Device* device = nullptr;
   bool staged = false;
   double overhead_seconds = 0.0;
-  /// Route the posted exchanges through the two-level topology-aware path
-  /// (PipelineConfig::hierarchical_exchange). Overlap then prices only the
-  /// inter-node hop against the in-flight parse; the intra-node staging
-  /// stays exposed (it shares the NVLink with the parse's own traffic).
-  bool hierarchical = false;
 };
+
+/// One lockstep exchange phase: `post(plan)` stages the payload out and runs
+/// the blocking collective(s), `stages.receive` collects the result and
+/// stages it in, and the phase commits the full exchange charge. Lockstep
+/// rounds and out-of-core pass 2 both run it.
+template <typename Stages, typename Post>
+typename Stages::Received lockstep_exchange(mpisim::Comm& comm,
+                                            const ExchangeSpec& spec,
+                                            bool hierarchical, Stages& stages,
+                                            RankMetrics& metrics,
+                                            Post&& post) {
+  PhaseScope phase(metrics, kPhaseExchange);
+  ExchangePlan plan(comm, spec.device, spec.staged, hierarchical);
+  typename Stages::Received received =
+      stages.receive(post(plan), plan, metrics);
+  phase.commit_exchange(plan, spec.overhead_seconds);
+  return received;
+}
 
 class RoundRunner {
  public:
@@ -99,7 +112,9 @@ class RoundRunner {
               const PipelineConfig& config)
       : reads_(reads),
         rounds_(plan_rounds(comm, reads, config.k,
-                            config.max_kmers_per_round)) {}
+                            config.max_kmers_per_round)),
+        overlap_(config.overlap_rounds),
+        hierarchical_(config.hierarchical_exchange) {}
 
   RoundRunner(const RoundRunner&) = delete;
   RoundRunner& operator=(const RoundRunner&) = delete;
@@ -132,33 +147,68 @@ class RoundRunner {
     return total;
   }
 
-  /// §III-A round overlap (overlap_rounds / --overlap-rounds): while round
-  /// r's ialltoallv is in flight, round r+1 parses and packs into the
-  /// second slot of a double buffer. `stages` decomposes one round into
+  /// Drive the pipeline's round over every round. `stages` describes one
+  /// round as
   ///   Parsed parse(const io::ReadBatch&, RankMetrics&) — the parse
-  ///       phase(s), identical operations to the lockstep path;
-  ///   Pending post(Parsed&&, ExchangePlan&, RankMetrics&) — stage_out
-  ///       plus nonblocking ialltoallv post(s);
-  ///   Received receive(Pending&&, ExchangePlan&, RankMetrics&) — wait(s)
+  ///       phase(s);
+  ///   Pending post(Parsed, ExchangePlan&, RankMetrics&) — stage_out plus
+  ///       ExchangePlan::post(s);
+  ///   Received receive(Pending, ExchangePlan&, RankMetrics&) — wait(s)
   ///       plus stage_in(s);
-  ///   void count(Received&&, RankMetrics&) — the count phase, identical
-  ///       operations to the lockstep path;
-  /// (the struct must declare those three member types). Because parse and
-  /// count run the exact operations of the lockstep rounds in the same
-  /// round order against the same table, spectra and work counts stay
-  /// bit-identical; only the exchange phase's modeled charge changes — the
-  /// routine's overlappable share hides behind the next round's parse
+  ///   void count(Received, RankMetrics&) — the count phase;
+  /// (the struct must declare those three member types; each stage owns
+  /// and releases its input). In lockstep one exchange phase per round
+  /// holds post and receive, and post runs the blocking collectives. With
+  /// overlap_rounds, while round r's ialltoallv is in flight round r+1
+  /// parses and posts into the second slot of a double buffer. Parse and
+  /// count run the same operations in the same round order against the
+  /// same table either way, so spectra and work counts stay bit-identical;
+  /// only the exchange phase's modeled charge changes — the routine's
+  /// overlappable share hides behind the next round's parse
   /// (NetworkModel::overlapped_seconds), and the hidden share is recorded
   /// as RankMetrics::overlap_saved_seconds instead of being spent.
   template <typename Table, typename Stages>
-  [[nodiscard]] RankMetrics run_overlapped(
-      mpisim::Comm& comm, const OverlapExchangeSpec& spec, Table& table,
-      Stages&& stages, RankMetrics setup = RankMetrics{}) const {
-    using S = std::decay_t<Stages>;
+  [[nodiscard]] RankMetrics run_stages(
+      mpisim::Comm& comm, const ExchangeSpec& spec, Table& table,
+      Stages& stages, RankMetrics setup = RankMetrics{}) const {
+    if (overlap_) {
+      return run_overlapped(comm, spec, table, stages, std::move(setup));
+    }
+    return run(
+        table,
+        [&](const io::ReadBatch& batch) {
+          RankMetrics metrics;
+          auto parsed = parse(stages, batch, metrics);
+          auto received = lockstep_exchange(
+              comm, spec, hierarchical_, stages, metrics,
+              [&](ExchangePlan& plan) {
+                return stages.post(std::move(parsed), plan, metrics);
+              });
+          stages.count(std::move(received), metrics);
+          return metrics;
+        },
+        std::move(setup));
+  }
+
+ private:
+  /// The round's parse stage, after recording the batch's size.
+  template <typename Stages>
+  static typename Stages::Parsed parse(Stages& stages,
+                                       const io::ReadBatch& batch,
+                                       RankMetrics& metrics) {
+    metrics.reads = batch.size();
+    metrics.bases = batch.total_bases();
+    return stages.parse(batch, metrics);
+  }
+
+  template <typename Table, typename Stages>
+  [[nodiscard]] RankMetrics run_overlapped(mpisim::Comm& comm,
+                                           const ExchangeSpec& spec,
+                                           Table& table, Stages& stages,
+                                           RankMetrics setup) const {
     struct Slot {
       RankMetrics metrics;
-      std::optional<typename S::Parsed> parsed;
-      std::optional<typename S::Pending> pending;
+      typename Stages::Pending pending;
     };
 
     RankMetrics total = std::move(setup);
@@ -172,87 +222,75 @@ class RoundRunner {
       return rounds_ > 1 ? round_batches[i] : reads_;
     };
 
-    auto parse_into = [&](Slot& slot, std::size_t round) {
+    // Parse round `round` into `slot` and post its exchange(s) as
+    // nonblocking. Only the stage-out staging cost lands on this side of
+    // the exchange phase; the routine cost is charged at completion in
+    // receive_and_count. Returns the round's parse charge — the compute
+    // the previous round's in-flight exchange hides behind.
+    auto parse_and_post = [&](Slot& slot, std::size_t round) {
       slot.metrics = RankMetrics{};
-      slot.parsed.emplace(stages.parse(batch_at(round), slot.metrics));
-    };
-
-    // Post the slot's parsed payload as nonblocking exchange(s). Only the
-    // stage-out staging cost lands on this side of the exchange phase; the
-    // routine cost is charged at completion in receive_and_count.
-    auto post = [&](Slot& slot) {
+      auto parsed = parse(stages, batch_at(round), slot.metrics);
+      const double parse_seconds = slot.metrics.modeled.total();
       PhaseScope phase(slot.metrics, kPhaseExchange);
-      ExchangePlan plan(comm, spec.device, spec.staged, spec.hierarchical);
-      slot.pending.emplace(
-          stages.post(std::move(*slot.parsed), plan, slot.metrics));
-      slot.parsed.reset();
+      ExchangePlan plan(comm, spec.device, spec.staged, hierarchical_,
+                        /*overlapped=*/true);
+      slot.pending = stages.post(std::move(parsed), plan, slot.metrics);
       phase.set_charge(plan.staging_seconds(), plan.staging_volume_seconds());
+      return parse_seconds;
     };
 
-    // Complete the slot's exchange, then run its count phase.
-    // `compute_seconds` is the modeled compute that ran while the exchange
-    // was in flight (the next round's parse); the routine's overlappable
-    // share hides behind it.
-    auto receive_and_count = [&](Slot& slot, double compute_seconds) {
-      std::optional<typename S::Received> received;
-      {
-        PhaseScope phase(slot.metrics, kPhaseExchange);
-        ExchangePlan plan(comm, spec.device, spec.staged, spec.hierarchical);
-        received.emplace(
-            stages.receive(std::move(*slot.pending), plan, slot.metrics));
-        slot.pending.reset();
+    // Complete the slot's exchange and stage it in. `compute_seconds` is
+    // the modeled compute that ran while the exchange was in flight (the
+    // next round's parse); the routine's overlappable share hides behind
+    // it.
+    auto receive = [&](Slot& slot, double compute_seconds) {
+      PhaseScope phase(slot.metrics, kPhaseExchange);
+      ExchangePlan plan(comm, spec.device, spec.staged, hierarchical_,
+                        /*overlapped=*/true);
+      typename Stages::Received received =
+          stages.receive(std::move(slot.pending), plan, slot.metrics);
 
-        const double routine = plan.alltoallv_seconds();
-        const double routine_volume = plan.alltoallv_volume_seconds();
-        // Only the inter-node hop hides behind the in-flight parse; the
-        // intra-node staging share (zero on the flat path, where these
-        // expressions reduce bit-for-bit to the pre-hierarchical math)
-        // stays exposed.
-        const double intra = plan.hier_intra_seconds();
-        const double intra_volume = plan.hier_intra_volume_seconds();
-        const double inter = routine - intra;
-        const double inter_volume = routine_volume - intra_volume;
-        const double exposed_inter =
-            comm.network().overlapped_seconds(inter, compute_seconds) -
-            compute_seconds;
-        const double exposed = intra + exposed_inter;
-        const double saved = inter - exposed_inter;
+      const double routine = plan.alltoallv_seconds();
+      const double routine_volume = plan.alltoallv_volume_seconds();
+      // Only the inter-node hop hides behind the in-flight parse; the
+      // intra-node staging share (zero on the flat path, where these
+      // expressions reduce bit-for-bit to the pre-hierarchical math) stays
+      // exposed.
+      const double intra = plan.hier_intra_seconds();
+      const double intra_volume = plan.hier_intra_volume_seconds();
+      const double inter = routine - intra;
+      const double inter_volume = routine_volume - intra_volume;
+      const double exposed_inter =
+          comm.network().overlapped_seconds(inter, compute_seconds) -
+          compute_seconds;
+      const double exposed = intra + exposed_inter;
+      const double saved = inter - exposed_inter;
 
-        slot.metrics.bytes_sent = plan.bytes_sent();
-        slot.metrics.bytes_received = plan.bytes_received();
-        slot.metrics.intra_node_bytes = plan.intra_node_bytes();
-        slot.metrics.inter_node_bytes = plan.inter_node_bytes();
-        // Fig. 8's metric keeps seeing the full routine time; only the
-        // phase's exposure shrinks.
-        slot.metrics.modeled_alltoallv_seconds = routine;
-        slot.metrics.modeled_alltoallv_volume_seconds = routine_volume;
-        const double exposed_volume =
-            intra_volume +
-            (inter > 0.0 ? inter_volume * (exposed_inter / inter) : 0.0);
-        phase.set_charge(
-            exposed + plan.staging_seconds() + spec.overhead_seconds,
-            exposed_volume + plan.staging_volume_seconds());
-        phase.set_overlap_saved_seconds(saved);
-      }
-      stages.count(std::move(*received), slot.metrics);
-      received.reset();
+      slot.metrics.bytes_sent = plan.bytes_sent();
+      slot.metrics.bytes_received = plan.bytes_received();
+      slot.metrics.intra_node_bytes = plan.intra_node_bytes();
+      slot.metrics.inter_node_bytes = plan.inter_node_bytes();
+      // Fig. 8's metric keeps seeing the full routine time; only the
+      // phase's exposure shrinks.
+      slot.metrics.modeled_alltoallv_seconds = routine;
+      slot.metrics.modeled_alltoallv_volume_seconds = routine_volume;
+      const double exposed_volume =
+          intra_volume +
+          (inter > 0.0 ? inter_volume * (exposed_inter / inter) : 0.0);
+      phase.set_charge(
+          exposed + plan.staging_seconds() + spec.overhead_seconds,
+          exposed_volume + plan.staging_volume_seconds());
+      phase.set_overlap_saved_seconds(saved);
+      return received;
     };
 
     std::array<Slot, 2> slots;
-    parse_into(slots[0], 0);
-    post(slots[0]);
+    parse_and_post(slots[0], 0);
     for (std::size_t r = 0; r < nrounds; ++r) {
       Slot& current = slots[r % 2];
-      Slot& next = slots[(r + 1) % 2];
-      double compute_seconds = 0.0;
-      if (r + 1 < nrounds) {
-        parse_into(next, r + 1);
-        // Read before post(): only the parse charge overlaps the in-flight
-        // exchange of round r.
-        compute_seconds = next.metrics.modeled.total();
-        post(next);
-      }
-      receive_and_count(current, compute_seconds);
+      const double compute_seconds =
+          r + 1 < nrounds ? parse_and_post(slots[(r + 1) % 2], r + 1) : 0.0;
+      stages.count(receive(current, compute_seconds), current.metrics);
       accumulate_round(total, current.metrics);
     }
     total.unique_kmers = table.unique();
@@ -260,9 +298,10 @@ class RoundRunner {
     return total;
   }
 
- private:
   const io::ReadBatch& reads_;
   const std::uint64_t rounds_;
+  const bool overlap_;
+  const bool hierarchical_;
 };
 
 }  // namespace dedukt::core

@@ -9,9 +9,9 @@
 //
 // One translation unit, templated on a key-traits struct (mirroring how
 // the supermer pipeline templates on its packing word; the traits and the
-// count phase live in count_phases.hpp, shared with the out-of-core
-// replay); each round is the parse -> exchange -> count stage sequence on
-// the staged pipeline framework.
+// receive and count stages live in count_phases.hpp, shared with the
+// out-of-core replay); each round is the parse -> exchange -> count stage
+// sequence on the staged pipeline framework.
 #include <vector>
 
 #include "count_phases.hpp"
@@ -27,94 +27,38 @@ namespace dedukt::core {
 
 namespace {
 
-/// PARSEKMER (one full parse phase): extract k-mers and bucket them by
-/// destination processor. Shared verbatim by the lockstep and overlapped
-/// paths so their operations — and the parse charge — cannot drift.
+/// One round of Algorithm 1 as the stages RoundRunner drives.
 template <typename Traits>
-std::vector<std::vector<typename Traits::Wire>> parse_cpu(
-    const io::ReadBatch& reads, const PipelineConfig& config,
-    std::uint32_t parts, RankMetrics& metrics) {
-  const io::BaseEncoding enc = config.encoding();
-  std::vector<std::vector<typename Traits::Wire>> outgoing(parts);
-  PhaseScope phase(metrics, kPhaseParse);
-  for (const auto& read : reads.reads) {
-    for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      Traits::for_each_routed(
-          fragment, config, enc, parts,
-          [&](std::uint32_t dest, const typename Traits::Wire& key) {
-            outgoing[dest].push_back(key);
-            ++metrics.kmers_parsed;
-          });
-    }
-  }
-  phase.set_uniform_charge(static_cast<double>(metrics.bases) /
-                           summit::kCpuParseBasesPerSec);
-  return outgoing;
-}
-
-/// One round of Algorithm 1 (the whole job when it fits in memory).
-template <typename Traits>
-RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
-                           const PipelineConfig& config,
-                           typename Traits::Table& local_table) {
-  const auto parts = static_cast<std::uint32_t>(comm.size());
-
-  RankMetrics metrics;
-  metrics.reads = reads.size();
-  metrics.bases = reads.total_bases();
-
-  std::vector<std::vector<typename Traits::Wire>> outgoing =
-      parse_cpu<Traits>(reads, config, parts, metrics);
-
-  // --- EXCHANGEKMER: Alltoallv of packed k-mers ---
-  mpisim::AlltoallvResult<typename Traits::Wire> received;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false,
-                      config.hierarchical_exchange);
-    received = plan.exchange(outgoing);
-    phase.commit_exchange(plan);
-  }
-  outgoing.clear();
-  outgoing.shrink_to_fit();
-
-  count_cpu<Traits>(received, local_table, metrics);
-
-  metrics.unique_kmers = local_table.unique();
-  metrics.counted_kmers = local_table.total();
-  return metrics;
-}
-
-/// The round decomposition RoundRunner::run_overlapped drives: parse and
-/// count call the exact helpers of the lockstep path; the exchange is
-/// split into a nonblocking post and a wait-side receive.
-template <typename Traits>
-struct CpuOverlapStages {
+struct CpuStages : CpuCountStages<Traits> {
   using Wire = typename Traits::Wire;
   using Parsed = std::vector<std::vector<Wire>>;
-  using Pending = mpisim::Request<Wire>;
-  using Received = mpisim::AlltoallvResult<Wire>;
+  using typename CpuCountStages<Traits>::Pending;
 
   const PipelineConfig& config;
   std::uint32_t parts;
-  typename Traits::Table& local_table;
 
+  /// PARSEKMER: extract k-mers and bucket them by destination processor.
   Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    return parse_cpu<Traits>(reads, config, parts, metrics);
+    const io::BaseEncoding enc = config.encoding();
+    Parsed outgoing(parts);
+    PhaseScope phase(metrics, kPhaseParse);
+    for (const auto& read : reads.reads) {
+      for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
+        Traits::for_each_routed(fragment, config, enc, parts,
+                                [&](std::uint32_t dest, const Wire& key) {
+                                  outgoing[dest].push_back(key);
+                                  ++metrics.kmers_parsed;
+                                });
+      }
+    }
+    phase.set_uniform_charge(static_cast<double>(metrics.bases) /
+                             summit::kCpuParseBasesPerSec);
+    return outgoing;
   }
 
-  Pending post(Parsed&& outgoing, ExchangePlan& plan, RankMetrics&) {
+  /// EXCHANGEKMER: Alltoallv of the packed k-mers.
+  Pending post(Parsed outgoing, ExchangePlan& plan, RankMetrics&) {
     return plan.post(outgoing);
-  }
-
-  Received receive(Pending&& request, ExchangePlan&, RankMetrics&) {
-    return request.wait();
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    count_cpu<Traits>(received, local_table, metrics);
   }
 };
 
@@ -123,17 +67,10 @@ RankMetrics run_cpu_pipeline(mpisim::Comm& comm, const io::ReadBatch& reads,
                              const PipelineConfig& config,
                              typename Traits::Table& local_table) {
   const RoundRunner runner(comm, reads, config);
-  if (config.overlap_rounds) {
-    CpuOverlapStages<Traits> stages{
-        config, static_cast<std::uint32_t>(comm.size()), local_table};
-    const OverlapExchangeSpec spec{/*device=*/nullptr, /*staged=*/false,
-                                   /*overhead_seconds=*/0.0,
-                                   config.hierarchical_exchange};
-    return runner.run_overlapped(comm, spec, local_table, stages);
-  }
-  return runner.run(local_table, [&](const io::ReadBatch& batch) {
-    return run_cpu_single<Traits>(comm, batch, config, local_table);
-  });
+  CpuStages<Traits> stages{
+      {local_table}, config, static_cast<std::uint32_t>(comm.size())};
+  return runner.run_stages(comm, exchange_spec(nullptr, config), local_table,
+                           stages);
 }
 
 }  // namespace

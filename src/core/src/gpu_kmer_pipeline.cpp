@@ -38,8 +38,7 @@ struct ConsolidatedKmers {
   std::vector<std::vector<std::uint32_t>> out_key_counts;
 };
 
-/// parse & process k-mers on the device (one full parse phase). Shared
-/// verbatim by the lockstep and overlapped paths.
+/// parse & process k-mers on the device (one full parse phase).
 ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
                             const PipelineConfig& config, std::uint32_t parts,
                             RankMetrics& metrics) {
@@ -114,63 +113,34 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   return buckets;
 }
 
-/// Count phase of the consolidated path: accumulate the received (key,
-/// count) pairs into the local partition of the global table.
-void count_gpu_pairs(
-    gpusim::Device& device, const PipelineConfig& config,
-    const mpisim::AlltoallvResult<std::uint64_t>& recv_keys,
-    const mpisim::AlltoallvResult<std::uint32_t>& recv_key_counts,
-    gpusim::DeviceBuffer<std::uint64_t>& d_recv_keys,
-    gpusim::DeviceBuffer<std::uint32_t>& d_recv_key_counts,
-    HostHashTable& local_table, RankMetrics& metrics) {
-  PhaseScope phase(metrics, kPhaseCount, device);
-
-  std::uint64_t kmers_to_count = 0;
-  for (const std::uint32_t count : recv_key_counts.data) {
-    kmers_to_count += count;
-  }
-  DeviceHashTable table(device, recv_keys.data.size(),
-                        config.table_headroom, config.smem_agg);
-  table.accumulate_pairs(d_recv_keys, d_recv_key_counts,
-                         recv_keys.data.size());
-  device.free(d_recv_keys);
-  device.free(d_recv_key_counts);
-
-  for (const auto& [key, count] : table.to_host()) {
-    local_table.add(key, count);
-  }
-  metrics.kmers_received = kmers_to_count;
-  // Accumulation touches one pair per locally-distinct k-mer.
-  phase.set_device_floor_charge(
-      static_cast<double>(recv_keys.data.size()) /
-          summit::kGpuCountKmersPerSec,
-      summit::kGpuCountOverheadSec);
-}
-
 }  // namespace
 
-/// Count phase of the main path: build the k-mer counter on the device
-/// (shared with the out-of-core replay through count_phases.hpp).
-void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
-                     const mpisim::AlltoallvResult<std::uint64_t>& received,
-                     gpusim::DeviceBuffer<std::uint64_t>& d_recv,
-                     HostHashTable& local_table, RankMetrics& metrics) {
+GpuKmerCountStages::Received GpuKmerCountStages::receive(Pending request,
+                                                         ExchangePlan& plan,
+                                                         RankMetrics&) {
+  Received received{request.wait(), {}};
+  received.d_recv = plan.stage_in(received.result.data);
+  return received;
+}
+
+/// Count phase of the main path: build the k-mer counter on the device.
+void GpuKmerCountStages::count(Received received, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  DeviceHashTable table(device, received.data.size(),
-                        config.table_headroom, config.smem_agg);
+  const std::uint64_t n = received.result.data.size();
+  DeviceHashTable table(device, n, config.table_headroom, config.smem_agg);
   if (config.filter_singletons) {
-    DeviceBloomFilter bloom(device, received.data.size());
-    table.count_kmers_filtered(d_recv, received.data.size(), bloom);
+    DeviceBloomFilter bloom(device, n);
+    table.count_kmers_filtered(received.d_recv, n, bloom);
   } else {
-    table.count_kmers(d_recv, received.data.size());
+    table.count_kmers(received.d_recv, n);
   }
-  device.free(d_recv);
+  device.free(received.d_recv);
 
   for (const auto& [key, count] : table.to_host()) {
     local_table.add(key, count);
   }
-  metrics.kmers_received = received.data.size();
+  metrics.kmers_received = n;
   phase.set_device_floor_charge(
       static_cast<double>(metrics.kmers_received) /
           summit::kGpuCountKmersPerSec,
@@ -179,113 +149,28 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
 
 namespace {
 
-/// One round of the pipeline (the whole job when it fits in memory).
-RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
-                                const io::ReadBatch& reads,
-                                const PipelineConfig& config,
-                                HostHashTable& local_table) {
-  const auto parts = static_cast<std::uint32_t>(comm.size());
-  const bool staged = config.exchange == ExchangeMode::kStaged;
-
-  RankMetrics metrics;
-  metrics.reads = reads.size();
-  metrics.bases = reads.total_bases();
-
-  ParsedKmers parsed = parse_gpu_kmers(device, reads, config, parts, metrics);
-
-  if (config.source_consolidation) {
-    ConsolidatedKmers buckets = consolidate_gpu_kmers(
-        device, config, std::move(parsed), parts, metrics);
-
-    mpisim::AlltoallvResult<std::uint64_t> recv_keys;
-    mpisim::AlltoallvResult<std::uint32_t> recv_key_counts;
-    gpusim::DeviceBuffer<std::uint64_t> d_recv_keys;
-    gpusim::DeviceBuffer<std::uint32_t> d_recv_key_counts;
-    {
-      PhaseScope phase(metrics, kPhaseExchange);
-      ExchangePlan plan(comm, &device, staged, config.hierarchical_exchange);
-
-      recv_keys = plan.exchange(buckets.out_keys);
-      recv_key_counts = plan.exchange(buckets.out_key_counts);
-      DEDUKT_CHECK(recv_keys.data.size() == recv_key_counts.data.size());
-
-      d_recv_keys = plan.stage_in(recv_keys.data);
-      d_recv_key_counts = plan.stage_in(recv_key_counts.data);
-      phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-    }
-
-    count_gpu_pairs(device, config, recv_keys, recv_key_counts, d_recv_keys,
-                    d_recv_key_counts, local_table, metrics);
-    metrics.unique_kmers = local_table.unique();
-    metrics.counted_kmers = local_table.total();
-    return metrics;
-  }
-
-  // --- exchange ---
-  mpisim::AlltoallvResult<std::uint64_t> received;
-  gpusim::DeviceBuffer<std::uint64_t> d_recv;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, &device, staged, config.hierarchical_exchange);
-
-    const std::vector<std::uint64_t> host_out =
-        plan.stage_out(parsed.d_out, parsed.total);
-    received = plan.exchange(host_out, parsed.counts, parsed.offsets);
-    d_recv = plan.stage_in(received.data);
-    phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-  }
-
-  count_gpu_kmers(device, config, received, d_recv, local_table, metrics);
-
-  metrics.unique_kmers = local_table.unique();
-  metrics.counted_kmers = local_table.total();
-  return metrics;
-}
-
-/// Overlapped-round decomposition of the main (occurrence-on-the-wire)
-/// path; parse and count call the lockstep helpers verbatim.
-struct GpuKmerOverlapStages {
+/// One round of the main (occurrence-on-the-wire) path as the stages
+/// RoundRunner drives.
+struct GpuKmerStages : GpuKmerCountStages {
   using Parsed = ParsedKmers;
-  using Pending = mpisim::Request<std::uint64_t>;
-  struct Received {
-    mpisim::AlltoallvResult<std::uint64_t> result;
-    gpusim::DeviceBuffer<std::uint64_t> d_recv;
-  };
 
-  mpisim::Comm& comm;
-  gpusim::Device& device;
-  const PipelineConfig& config;
-  HostHashTable& local_table;
+  std::uint32_t parts;
 
   Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    return parse_gpu_kmers(device, reads, config,
-                           static_cast<std::uint32_t>(comm.size()), metrics);
+    return parse_gpu_kmers(device, reads, config, parts, metrics);
   }
 
-  Pending post(Parsed&& parsed, ExchangePlan& plan, RankMetrics&) {
+  Pending post(Parsed parsed, ExchangePlan& plan, RankMetrics&) {
     const std::vector<std::uint64_t> host_out =
         plan.stage_out(parsed.d_out, parsed.total);
     return plan.post(host_out, parsed.counts, parsed.offsets);
   }
-
-  Received receive(Pending&& request, ExchangePlan& plan, RankMetrics&) {
-    Received received;
-    received.result = request.wait();
-    received.d_recv = plan.stage_in(received.result.data);
-    return received;
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    count_gpu_kmers(device, config, received.result, received.d_recv,
-                    local_table, metrics);
-  }
 };
 
-/// Overlapped-round decomposition of the source-consolidation path: two
-/// requests (keys + counts) in flight per round, waited in posting order.
-struct GpuKmerConsolidatedOverlapStages {
+/// One round of the source-consolidation path: parse, then count locally
+/// and bucket (key, count) pairs per destination; two requests (keys +
+/// counts) per round, waited in posting order.
+struct GpuKmerConsolidatedStages {
   using Parsed = ConsolidatedKmers;
   struct Pending {
     mpisim::Request<std::uint64_t> keys;
@@ -298,32 +183,24 @@ struct GpuKmerConsolidatedOverlapStages {
     gpusim::DeviceBuffer<std::uint32_t> d_recv_key_counts;
   };
 
-  mpisim::Comm& comm;
   gpusim::Device& device;
   const PipelineConfig& config;
   HostHashTable& local_table;
+  std::uint32_t parts;
 
   Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    const auto parts = static_cast<std::uint32_t>(comm.size());
     ParsedKmers parsed =
         parse_gpu_kmers(device, reads, config, parts, metrics);
     return consolidate_gpu_kmers(device, config, std::move(parsed), parts,
                                  metrics);
   }
 
-  Pending post(Parsed&& buckets, ExchangePlan& plan, RankMetrics&) {
-    Pending pending;
-    pending.keys = plan.post(buckets.out_keys);
-    pending.key_counts = plan.post(buckets.out_key_counts);
-    return pending;
+  Pending post(Parsed buckets, ExchangePlan& plan, RankMetrics&) {
+    return {plan.post(buckets.out_keys), plan.post(buckets.out_key_counts)};
   }
 
-  Received receive(Pending&& pending, ExchangePlan& plan, RankMetrics&) {
-    Received received;
-    received.recv_keys = pending.keys.wait();
-    received.recv_key_counts = pending.key_counts.wait();
+  Received receive(Pending pending, ExchangePlan& plan, RankMetrics&) {
+    Received received{pending.keys.wait(), pending.key_counts.wait(), {}, {}};
     DEDUKT_CHECK(received.recv_keys.data.size() ==
                  received.recv_key_counts.data.size());
     received.d_recv_keys = plan.stage_in(received.recv_keys.data);
@@ -331,10 +208,31 @@ struct GpuKmerConsolidatedOverlapStages {
     return received;
   }
 
-  void count(Received&& received, RankMetrics& metrics) {
-    count_gpu_pairs(device, config, received.recv_keys,
-                    received.recv_key_counts, received.d_recv_keys,
-                    received.d_recv_key_counts, local_table, metrics);
+  /// Count phase of the consolidated path: accumulate the received (key,
+  /// count) pairs into the local partition of the global table.
+  void count(Received received, RankMetrics& metrics) {
+    PhaseScope phase(metrics, kPhaseCount, device);
+
+    std::uint64_t kmers_to_count = 0;
+    for (const std::uint32_t count : received.recv_key_counts.data) {
+      kmers_to_count += count;
+    }
+    const std::uint64_t pairs = received.recv_keys.data.size();
+    DeviceHashTable table(device, pairs, config.table_headroom,
+                          config.smem_agg);
+    table.accumulate_pairs(received.d_recv_keys, received.d_recv_key_counts,
+                           pairs);
+    device.free(received.d_recv_keys);
+    device.free(received.d_recv_key_counts);
+
+    for (const auto& [key, count] : table.to_host()) {
+      local_table.add(key, count);
+    }
+    metrics.kmers_received = kmers_to_count;
+    // Accumulation touches one pair per locally-distinct k-mer.
+    phase.set_device_floor_charge(
+        static_cast<double>(pairs) / summit::kGpuCountKmersPerSec,
+        summit::kGpuCountOverheadSec);
   }
 };
 
@@ -346,22 +244,14 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
                               HostHashTable& local_table) {
   config.validate();
   const RoundRunner runner(comm, reads, config);
-  if (config.overlap_rounds) {
-    const bool staged = config.exchange == ExchangeMode::kStaged;
-    const OverlapExchangeSpec spec{&device, staged,
-                                   summit::kGpuExchangeOverheadSec,
-                                   config.hierarchical_exchange};
-    if (config.source_consolidation) {
-      GpuKmerConsolidatedOverlapStages stages{comm, device, config,
-                                              local_table};
-      return runner.run_overlapped(comm, spec, local_table, stages);
-    }
-    GpuKmerOverlapStages stages{comm, device, config, local_table};
-    return runner.run_overlapped(comm, spec, local_table, stages);
+  const ExchangeSpec spec = exchange_spec(&device, config);
+  const auto parts = static_cast<std::uint32_t>(comm.size());
+  if (config.source_consolidation) {
+    GpuKmerConsolidatedStages stages{device, config, local_table, parts};
+    return runner.run_stages(comm, spec, local_table, stages);
   }
-  return runner.run(local_table, [&](const io::ReadBatch& batch) {
-    return run_gpu_kmer_single(comm, device, batch, config, local_table);
-  });
+  GpuKmerStages stages{{device, config, local_table}, parts};
+  return runner.run_stages(comm, spec, local_table, stages);
 }
 
 }  // namespace dedukt::core

@@ -37,10 +37,9 @@ struct ParsedSupermers {
 };
 
 /// parse & process: build supermers on the device (one full parse phase).
-/// Shared verbatim by the lockstep and overlapped paths. Word selects the
-/// supermer packing: std::uint64_t for the paper's single-word regime,
-/// kmer::WideKey for the two-word extension that lifts the window cap of
-/// 15.
+/// Word selects the supermer packing: std::uint64_t for the paper's
+/// single-word regime, kmer::WideKey for the two-word extension that lifts
+/// the window cap of 15.
 template <typename Word>
 ParsedSupermers<Word> parse_gpu_supermers(
     gpusim::Device& device, const io::ReadBatch& reads,
@@ -113,50 +112,54 @@ ParsedSupermers<Word> parse_gpu_supermers(
 
 }  // namespace
 
-/// Count phase: extract k-mers from received supermers and count. Shared
-/// verbatim by the lockstep and overlapped paths and, through
-/// count_phases.hpp, by the out-of-core replay.
 template <typename Word>
-void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
-                         const mpisim::AlltoallvResult<Word>& recv_words,
-                         const mpisim::AlltoallvResult<std::uint8_t>& recv_lens,
-                         gpusim::DeviceBuffer<Word>& d_recv_words,
-                         gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
-                         HostHashTable& local_table, RankMetrics& metrics) {
+typename GpuSupermerCountStages<Word>::Received
+GpuSupermerCountStages<Word>::receive(Pending pending, ExchangePlan& plan,
+                                      RankMetrics&) {
+  Received received{pending.words.wait(), pending.lens.wait(), {}, {}};
+  DEDUKT_CHECK(received.recv_words.data.size() ==
+               received.recv_lens.data.size());
+  received.d_recv_words = plan.stage_in(received.recv_words.data);
+  received.d_recv_lens = plan.stage_in(received.recv_lens.data);
+  return received;
+}
+
+/// Count phase: extract k-mers from received supermers and count.
+template <typename Word>
+void GpuSupermerCountStages<Word>::count(Received received,
+                                         RankMetrics& metrics) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  metrics.supermers_received = recv_words.data.size();
+  const std::uint64_t n = received.recv_words.data.size();
+  metrics.supermers_received = n;
   std::uint64_t kmers_to_count = 0;
-  for (const std::uint8_t len : recv_lens.data) {
+  for (const std::uint8_t len : received.recv_lens.data) {
     kmers_to_count += static_cast<std::uint64_t>(len) -
                       static_cast<std::uint64_t>(config.k) + 1;
   }
 
+  auto& d_words = received.d_recv_words;
+  auto& d_lens = received.d_recv_lens;
   DeviceHashTable table(device, kmers_to_count, config.table_headroom,
                         config.smem_agg);
   if (config.filter_singletons) {
     DeviceBloomFilter bloom(device, kmers_to_count);
     if constexpr (kWide) {
-      table.count_wide_supermers_filtered(d_recv_words, d_recv_lens,
-                                          recv_words.data.size(),
-                                          config.k, bloom);
+      table.count_wide_supermers_filtered(d_words, d_lens, n, config.k,
+                                          bloom);
     } else {
-      table.count_supermers_filtered(d_recv_words, d_recv_lens,
-                                     recv_words.data.size(), config.k,
-                                     bloom);
+      table.count_supermers_filtered(d_words, d_lens, n, config.k, bloom);
     }
   } else {
     if constexpr (kWide) {
-      table.count_wide_supermers(d_recv_words, d_recv_lens,
-                                 recv_words.data.size(), config.k);
+      table.count_wide_supermers(d_words, d_lens, n, config.k);
     } else {
-      table.count_supermers(d_recv_words, d_recv_lens,
-                            recv_words.data.size(), config.k);
+      table.count_supermers(d_words, d_lens, n, config.k);
     }
   }
-  device.free(d_recv_words);
-  device.free(d_recv_lens);
+  device.free(d_words);
+  device.free(d_lens);
 
   for (const auto& [key, count] : table.to_host()) {
     local_table.add(key, count);
@@ -169,51 +172,30 @@ void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
       summit::kGpuCountOverheadSec);
 }
 
-template void count_gpu_supermers<std::uint64_t>(
-    gpusim::Device&, const PipelineConfig&,
-    const mpisim::AlltoallvResult<std::uint64_t>&,
-    const mpisim::AlltoallvResult<std::uint8_t>&,
-    gpusim::DeviceBuffer<std::uint64_t>&, gpusim::DeviceBuffer<std::uint8_t>&,
-    HostHashTable&, RankMetrics&);
-template void count_gpu_supermers<kmer::WideKey>(
-    gpusim::Device&, const PipelineConfig&,
-    const mpisim::AlltoallvResult<kmer::WideKey>&,
-    const mpisim::AlltoallvResult<std::uint8_t>&,
-    gpusim::DeviceBuffer<kmer::WideKey>&, gpusim::DeviceBuffer<std::uint8_t>&,
-    HostHashTable&, RankMetrics&);
+template struct GpuSupermerCountStages<std::uint64_t>;
+template struct GpuSupermerCountStages<kmer::WideKey>;
 
 namespace {
 
-/// One round of the pipeline (the whole job when it fits in memory).
-/// `routing` carries the §VII frequency-balanced table when enabled; it is
-/// built once per job (not per round) so every occurrence of a k-mer
-/// routes to the same rank across rounds.
+/// One round of the pipeline as the stages RoundRunner drives. `routing`
+/// carries the §VII frequency-balanced table when enabled; it is built
+/// once per job (not per round) so every occurrence of a k-mer routes to
+/// the same rank across rounds.
 template <typename Word>
-RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
-                                    gpusim::Device& device,
-                                    const io::ReadBatch& reads,
-                                    const PipelineConfig& config,
-                                    HostHashTable& local_table,
-                                    kernels::DestinationTable routing) {
-  const auto parts = static_cast<std::uint32_t>(comm.size());
-  const bool staged = config.exchange == ExchangeMode::kStaged;
+struct GpuSupermerStages : GpuSupermerCountStages<Word> {
+  using Parsed = ParsedSupermers<Word>;
+  using typename GpuSupermerCountStages<Word>::Pending;
 
-  RankMetrics metrics;
-  metrics.reads = reads.size();
-  metrics.bases = reads.total_bases();
+  std::uint32_t parts;
+  const kernels::DestinationTable& routing;
 
-  ParsedSupermers<Word> parsed = parse_gpu_supermers<Word>(
-      device, reads, config, parts, routing, metrics);
+  Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
+    return parse_gpu_supermers<Word>(this->device, reads, this->config,
+                                     parts, routing, metrics);
+  }
 
-  // --- exchange supermer words and lengths ---
-  mpisim::AlltoallvResult<Word> recv_words;
-  mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-  gpusim::DeviceBuffer<Word> d_recv_words;
-  gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, &device, staged, config.hierarchical_exchange);
-
+  /// Exchange supermer words and lengths.
+  Pending post(Parsed parsed, ExchangePlan& plan, RankMetrics& metrics) {
     const std::vector<Word> host_words =
         plan.stage_out(parsed.d_words, parsed.total_supermers);
     const std::vector<std::uint8_t> host_lens =
@@ -224,84 +206,8 @@ RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
     for (const std::uint8_t len : host_lens) {
       metrics.supermer_bases += len;
     }
-
-    recv_words = plan.exchange(host_words, parsed.counts, parsed.offsets);
-    recv_lens = plan.exchange(host_lens, parsed.counts, parsed.offsets);
-    DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-
-    d_recv_words = plan.stage_in(recv_words.data);
-    d_recv_lens = plan.stage_in(recv_lens.data);
-    phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-  }
-
-  count_gpu_supermers<Word>(device, config, recv_words, recv_lens,
-                            d_recv_words, d_recv_lens, local_table, metrics);
-
-  metrics.unique_kmers = local_table.unique();
-  metrics.counted_kmers = local_table.total();
-  return metrics;
-}
-
-/// Overlapped-round decomposition: two requests (words + lengths) in
-/// flight per round, waited in posting order; parse and count call the
-/// lockstep helpers verbatim.
-template <typename Word>
-struct GpuSupermerOverlapStages {
-  using Parsed = ParsedSupermers<Word>;
-  struct Pending {
-    mpisim::Request<Word> words;
-    mpisim::Request<std::uint8_t> lens;
-  };
-  struct Received {
-    mpisim::AlltoallvResult<Word> recv_words;
-    mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-    gpusim::DeviceBuffer<Word> d_recv_words;
-    gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-  };
-
-  mpisim::Comm& comm;
-  gpusim::Device& device;
-  const PipelineConfig& config;
-  HostHashTable& local_table;
-  const kernels::DestinationTable& routing;
-
-  Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    return parse_gpu_supermers<Word>(
-        device, reads, config, static_cast<std::uint32_t>(comm.size()),
-        routing, metrics);
-  }
-
-  Pending post(Parsed&& parsed, ExchangePlan& plan, RankMetrics& metrics) {
-    const std::vector<Word> host_words =
-        plan.stage_out(parsed.d_words, parsed.total_supermers);
-    const std::vector<std::uint8_t> host_lens =
-        plan.stage_out(parsed.d_lens, parsed.total_supermers);
-    for (const std::uint8_t len : host_lens) {
-      metrics.supermer_bases += len;
-    }
-    Pending pending;
-    pending.words = plan.post(host_words, parsed.counts, parsed.offsets);
-    pending.lens = plan.post(host_lens, parsed.counts, parsed.offsets);
-    return pending;
-  }
-
-  Received receive(Pending&& pending, ExchangePlan& plan, RankMetrics&) {
-    Received received;
-    received.recv_words = pending.words.wait();
-    received.recv_lens = pending.lens.wait();
-    DEDUKT_CHECK(received.recv_words.data.size() ==
-                 received.recv_lens.data.size());
-    received.d_recv_words = plan.stage_in(received.recv_words.data);
-    received.d_recv_lens = plan.stage_in(received.recv_lens.data);
-    return received;
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    count_gpu_supermers<Word>(device, config, received.recv_words,
-                              received.recv_lens, received.d_recv_words,
-                              received.d_recv_lens, local_table, metrics);
+    return {plan.post(host_words, parsed.counts, parsed.offsets),
+            plan.post(host_lens, parsed.counts, parsed.offsets)};
   }
 };
 
@@ -344,31 +250,17 @@ RankMetrics run_gpu_supermer_rank(mpisim::Comm& comm, gpusim::Device& device,
                          phase.device().modeled_volume_seconds());
   }
 
-  if (config.overlap_rounds) {
-    const bool staged = config.exchange == ExchangeMode::kStaged;
-    const OverlapExchangeSpec spec{&device, staged,
-                                   summit::kGpuExchangeOverheadSec,
-                                   config.hierarchical_exchange};
-    if (config.wide_supermers) {
-      GpuSupermerOverlapStages<kmer::WideKey> stages{comm, device, config,
-                                                     local_table, routing};
-      return runner.run_overlapped(comm, spec, local_table, stages,
-                                   std::move(setup));
-    }
-    GpuSupermerOverlapStages<std::uint64_t> stages{comm, device, config,
-                                                   local_table, routing};
-    return runner.run_overlapped(comm, spec, local_table, stages,
-                                 std::move(setup));
+  const ExchangeSpec spec = exchange_spec(&device, config);
+  const auto parts = static_cast<std::uint32_t>(comm.size());
+  if (config.wide_supermers) {
+    GpuSupermerStages<kmer::WideKey> stages{
+        {device, config, local_table}, parts, routing};
+    return runner.run_stages(comm, spec, local_table, stages,
+                             std::move(setup));
   }
-  auto run_single = [&](const io::ReadBatch& batch) {
-    if (config.wide_supermers) {
-      return run_gpu_supermer_single<kmer::WideKey>(
-          comm, device, batch, config, local_table, routing);
-    }
-    return run_gpu_supermer_single<std::uint64_t>(
-        comm, device, batch, config, local_table, routing);
-  };
-  return runner.run(local_table, run_single, std::move(setup));
+  GpuSupermerStages<std::uint64_t> stages{
+      {device, config, local_table}, parts, routing};
+  return runner.run_stages(comm, spec, local_table, stages, std::move(setup));
 }
 
 }  // namespace dedukt::core

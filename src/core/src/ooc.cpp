@@ -276,78 +276,43 @@ ReloadedBin<Word> reload_bin(const std::string& path, io::SpillKind kind,
   return reloaded;
 }
 
-/// Pass 2 on one rank: reload a bin, exchange its payload exactly as the
-/// in-memory pipeline exchanges it, and run that pipeline's own count phase
-/// against the rank's persistent table. Each call returns the bin's
-/// reloaded bytes.
+/// Pass 2 on one rank: reload a bin, post its per-destination buffers
+/// through the lockstep exchange exactly as the in-memory round posts them,
+/// and run that pipeline's own receive and count stages against the rank's
+/// persistent table.
 struct BinReplay {
   mpisim::Comm& comm;
-  gpusim::Device* device;  ///< null for the CPU pipeline
   const PipelineConfig& config;
+  ExchangeSpec spec;
   io::SpillKind kind;
   const io::DiskModel& disk;
 
-  [[nodiscard]] std::uint32_t parts() const {
-    return static_cast<std::uint32_t>(comm.size());
-  }
-  [[nodiscard]] bool staged() const {
-    return config.exchange == ExchangeMode::kStaged;
-  }
-
-  /// k-mer keys on the wire (CPU and GPU k-mer pipelines).
-  template <typename Traits>
-  std::uint64_t keys(const std::string& path, typename Traits::Table& table,
-                     RankMetrics& bm) const {
-    using Key = typename Traits::Wire;
-    ReloadedBin<Key> reloaded =
-        reload_bin<Key>(path, kind, config.k, parts(), disk, bm);
-    mpisim::AlltoallvResult<Key> received;
-    gpusim::DeviceBuffer<Key> d_recv;
-    {
-      PhaseScope phase(bm, kPhaseExchange);
-      ExchangePlan plan(comm, device, staged(), config.hierarchical_exchange);
-      received = plan.exchange(reloaded.words);
-      if (device != nullptr) d_recv = plan.stage_in(received.data);
-      phase.commit_exchange(
-          plan, device != nullptr ? summit::kGpuExchangeOverheadSec : 0.0);
-    }
-    reloaded.words.clear();
-    if constexpr (std::is_same_v<Traits, NarrowKeys>) {
-      if (device != nullptr) {
-        count_gpu_kmers(*device, config, received, d_recv, table, bm);
-        return reloaded.bytes;
-      }
-    }
-    count_cpu<Traits>(received, table, bm);
-    return reloaded.bytes;
-  }
-
-  /// Supermers on the wire: two exchanges (words + lengths), then the
-  /// supermer count kernels — the in-memory §IV dataflow per bin.
-  template <typename Word>
-  std::uint64_t supermers(const std::string& path, HostHashTable& table,
-                          RankMetrics& bm) const {
-    ReloadedBin<Word> reloaded =
-        reload_bin<Word>(path, kind, config.k, parts(), disk, bm);
-    mpisim::AlltoallvResult<Word> recv_words;
-    mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-    gpusim::DeviceBuffer<Word> d_recv_words;
-    gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-    {
-      PhaseScope phase(bm, kPhaseExchange);
-      ExchangePlan plan(comm, device, staged(), config.hierarchical_exchange);
-      recv_words = plan.exchange(reloaded.words);
-      recv_lens = plan.exchange(reloaded.lens);
-      DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-      d_recv_words = plan.stage_in(recv_words.data);
-      d_recv_lens = plan.stage_in(recv_lens.data);
-      phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-    }
-    reloaded.words.clear();
-    reloaded.lens.clear();
-    count_gpu_supermers<Word>(*device, config, recv_words, recv_lens,
-                              d_recv_words, d_recv_lens, table, bm);
-    return reloaded.bytes;
+  /// Replay the bin at `path` through `stages` (a receive-and-count struct
+  /// from count_phases.hpp); returns the bin's reloaded bytes.
+  template <typename Stages>
+  std::uint64_t run(const std::string& path, Stages stages,
+                    RankMetrics& bm) const {
+    using Wire = typename Stages::Wire;
+    using Pending = typename Stages::Pending;
+    ReloadedBin<Wire> bin = reload_bin<Wire>(
+        path, kind, config.k, static_cast<std::uint32_t>(comm.size()), disk,
+        bm);
+    auto received = lockstep_exchange(
+        comm, spec, config.hierarchical_exchange, stages, bm,
+        [&](ExchangePlan& plan) {
+          Pending pending;
+          if constexpr (std::is_same_v<Pending, mpisim::Request<Wire>>) {
+            pending = plan.post(bin.words);
+          } else {  // supermers: words, then lengths
+            pending = {plan.post(bin.words), plan.post(bin.lens)};
+          }
+          // The payload has been delivered; free it before the stage-in.
+          bin.words.clear();
+          bin.lens.clear();
+          return pending;
+        });
+    stages.count(std::move(received), bm);
+    return bin.bytes;
   }
 };
 
@@ -445,7 +410,8 @@ void run_ooc_count(
 
     std::optional<gpusim::Device> device;
     if (gpu) device.emplace(options.device);
-    const BinReplay replay{comm, device ? &*device : nullptr, config, kind,
+    gpusim::Device* const dev = device ? &*device : nullptr;
+    const BinReplay replay{comm, config, exchange_spec(dev, config), kind,
                            disk};
 
     for (std::uint32_t bin = 0; bin < bins; ++bin) {
@@ -456,14 +422,22 @@ void run_ooc_count(
       RankMetrics bm;
       std::uint64_t reloaded_bytes = 0;
       if constexpr (kNarrow) {
-        if (supermers) {
+        if (supermers && config.wide_supermers) {
+          reloaded_bytes = replay.run(
+              path, GpuSupermerCountStages<kmer::WideKey>{*dev, config, table},
+              bm);
+        } else if (supermers) {
+          reloaded_bytes = replay.run(
+              path, GpuSupermerCountStages<std::uint64_t>{*dev, config, table},
+              bm);
+        } else if (gpu) {
           reloaded_bytes =
-              config.wide_supermers
-                  ? replay.supermers<kmer::WideKey>(path, table, bm)
-                  : replay.supermers<std::uint64_t>(path, table, bm);
+              replay.run(path, GpuKmerCountStages{*dev, config, table}, bm);
         }
       }
-      if (!supermers) reloaded_bytes = replay.keys<Traits>(path, table, bm);
+      if (!gpu) {
+        reloaded_bytes = replay.run(path, CpuCountStages<Traits>{table}, bm);
+      }
       bm.peak_resident_bytes =
           reloaded_bytes + bm.bytes_sent + bm.bytes_received;
       accumulate_round(total, bm);

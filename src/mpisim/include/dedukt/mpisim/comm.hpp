@@ -279,33 +279,9 @@ class Comm {
     trace::ScopedSpan span(trace::kCategoryCollective, "alltoallv");
     publish(&send, op_tag(0x2, typeid(T)));
 
-    // Read every source's slice destined to this rank.
-    AlltoallvResult<T> result;
-    result.counts.resize(static_cast<std::size_t>(nranks_));
     std::uint64_t in_bytes = 0;
-    std::size_t total = 0;
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      total += (*srcbufs)[static_cast<std::size_t>(rank_)].size();
-    }
-    result.data.reserve(total);
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      const auto& slice = (*srcbufs)[static_cast<std::size_t>(rank_)];
-      result.counts[static_cast<std::size_t>(src)] = slice.size();
-      result.data.insert(result.data.end(), slice.begin(), slice.end());
-      if (src != rank_) in_bytes += slice.size() * sizeof(T);
-    }
-    result.finalize_offsets();
-
-    std::uint64_t out_bytes = 0;
-    for (int dst = 0; dst < nranks_; ++dst) {
-      if (dst != rank_) {
-        out_bytes += send[static_cast<std::size_t>(dst)].size() * sizeof(T);
-      }
-    }
+    AlltoallvResult<T> result = gather_slices<T>(in_bytes);
+    const std::uint64_t out_bytes = off_rank_bytes(send);
     finish_with_bytes(std::max(in_bytes, out_bytes));
 
     charge_alltoallv(span, out_bytes, in_bytes, last_round_max_bytes_);
@@ -332,13 +308,7 @@ class Comm {
     if (nodes() <= 1) {
       AlltoallvResult<T> result = alltoallv(send);
       // One node: every off-rank byte stays on the intra-node link.
-      std::uint64_t out_bytes = 0;
-      for (int dst = 0; dst < nranks_; ++dst) {
-        if (dst != rank_) {
-          out_bytes += send[static_cast<std::size_t>(dst)].size() * sizeof(T);
-        }
-      }
-      stats_.intra_node_bytes += out_bytes;
+      stats_.intra_node_bytes += off_rank_bytes(send);
       return result;
     }
 
@@ -351,41 +321,18 @@ class Comm {
     // slices, permuted back into deterministic source-rank order), while
     // the ledger below walks the full traffic matrix to derive the
     // per-hop loads every rank agrees on.
-    AlltoallvResult<T> result;
-    result.counts.resize(static_cast<std::size_t>(nranks_));
     std::uint64_t in_bytes = 0;
-    std::size_t total = 0;
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      total += (*srcbufs)[static_cast<std::size_t>(rank_)].size();
-    }
-    result.data.reserve(total);
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      const auto& slice = (*srcbufs)[static_cast<std::size_t>(rank_)];
-      result.counts[static_cast<std::size_t>(src)] = slice.size();
-      result.data.insert(result.data.end(), slice.begin(), slice.end());
-      if (src != rank_) in_bytes += slice.size() * sizeof(T);
-    }
-    result.finalize_offsets();
+    AlltoallvResult<T> result = gather_slices<T>(in_bytes);
 
     // Every rank reads the whole send matrix's sizes off the board, so all
     // ranks derive identical hop maxima without extra synchronization.
     const HierLoads loads = hier_loads([&](int src, int dst) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
       return static_cast<std::uint64_t>(
-          (*srcbufs)[static_cast<std::size_t>(dst)].size() * sizeof(T));
+          published_sends<T>(src)[static_cast<std::size_t>(dst)].size() *
+          sizeof(T));
     });
 
-    std::uint64_t out_bytes = 0;
-    for (int dst = 0; dst < nranks_; ++dst) {
-      if (dst != rank_) {
-        out_bytes += send[static_cast<std::size_t>(dst)].size() * sizeof(T);
-      }
-    }
+    const std::uint64_t out_bytes = off_rank_bytes(send);
     finish_with_bytes(std::max(in_bytes, out_bytes));
 
     charge_hierarchical(span, out_bytes, in_bytes, loads);
@@ -572,15 +519,28 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     trace::ScopedSpan span(trace::kCategoryCollective, "allreduce_vector");
     publish(&value, op_tag(0xB, typeid(T)));
-    std::vector<T> acc = *static_cast<const std::vector<T>*>(board_.ptrs[0]);
+    const auto published = [&](int src) -> const std::vector<T>& {
+      return *static_cast<const std::vector<T>*>(
+          board_.ptrs[static_cast<std::size_t>(src)]);
+    };
+    // Every rank checks every length against rank 0's before anyone copies.
+    // All ranks see the same board, so on a mismatch they all pass one more
+    // barrier — no rank is still reading a peer's vector — and throw
+    // together; a rank unwinding alone would free the vector it published.
+    const std::size_t expected = published(0).size();
     for (int src = 1; src < nranks_; ++src) {
-      const auto& v = *static_cast<const std::vector<T>*>(board_.ptrs[src]);
-      // Every rank sees the same board, so a mismatch throws on all ranks
-      // before anyone reaches the finish barriers.
-      DEDUKT_REQUIRE_MSG(v.size() == acc.size(),
-                         "allreduce_vector length mismatch: rank "
-                             << src << " sent " << v.size() << " elements, "
-                             << "rank 0 sent " << acc.size());
+      const std::size_t got = published(src).size();
+      if (got != expected) {
+        board_.barrier.arrive_and_wait();
+        DEDUKT_REQUIRE_MSG(got == expected,
+                           "allreduce_vector length mismatch: rank "
+                               << src << " sent " << got << " elements, "
+                               << "rank 0 sent " << expected);
+      }
+    }
+    std::vector<T> acc = published(0);
+    for (int src = 1; src < nranks_; ++src) {
+      const std::vector<T>& v = published(src);
       for (std::size_t i = 0; i < acc.size(); ++i) {
         acc[i] = apply(acc[i], v[i], op);
       }
@@ -665,6 +625,51 @@ class Comm {
 
   static std::size_t op_tag(std::size_t op, const std::type_info& type) {
     return op * 0x9e3779b97f4a7c15ULL ^ type.hash_code();
+  }
+
+  /// The send matrix rank `src` published for the current alltoallv.
+  template <typename T>
+  [[nodiscard]] const std::vector<std::vector<T>>& published_sends(
+      int src) const {
+    return *static_cast<const std::vector<std::vector<T>>*>(
+        board_.ptrs[static_cast<std::size_t>(src)]);
+  }
+
+  /// The receive side of the flat and hierarchical alltoallv: this rank's
+  /// slice of every published send matrix, in source-rank order. Adds the
+  /// off-rank bytes received to `in_bytes`.
+  template <typename T>
+  [[nodiscard]] AlltoallvResult<T> gather_slices(
+      std::uint64_t& in_bytes) const {
+    AlltoallvResult<T> result;
+    result.counts.resize(static_cast<std::size_t>(nranks_));
+    std::size_t total = 0;
+    for (int src = 0; src < nranks_; ++src) {
+      total += published_sends<T>(src)[static_cast<std::size_t>(rank_)].size();
+    }
+    result.data.reserve(total);
+    for (int src = 0; src < nranks_; ++src) {
+      const auto& slice =
+          published_sends<T>(src)[static_cast<std::size_t>(rank_)];
+      result.counts[static_cast<std::size_t>(src)] = slice.size();
+      result.data.insert(result.data.end(), slice.begin(), slice.end());
+      if (src != rank_) in_bytes += slice.size() * sizeof(T);
+    }
+    result.finalize_offsets();
+    return result;
+  }
+
+  /// Payload bytes of `send` addressed to other ranks.
+  template <typename T>
+  [[nodiscard]] std::uint64_t off_rank_bytes(
+      const std::vector<std::vector<T>>& send) const {
+    std::uint64_t bytes = 0;
+    for (int dst = 0; dst < nranks_; ++dst) {
+      if (dst != rank_) {
+        bytes += send[static_cast<std::size_t>(dst)].size() * sizeof(T);
+      }
+    }
+    return bytes;
   }
 
   /// Ledger and span charging shared by the blocking alltoallv and the
@@ -867,6 +872,19 @@ class Request {
     require_completed("destroyed");
   }
 
+  /// A request that completed when it was built: what MPI returns for a
+  /// blocking exchange written as post + wait. `result` is what the
+  /// blocking call delivered and charged; wait() moves it out without
+  /// charging again or copying the payload.
+  [[nodiscard]] static Request completed(Comm& comm,
+                                         AlltoallvResult<T> result) {
+    Request request;
+    request.comm_ = &comm;
+    request.done_ = true;
+    request.result_ = std::move(result);
+    return request;
+  }
+
   /// True while the request still owns an exchange (armed and the result
   /// not yet retrieved by wait()).
   [[nodiscard]] bool valid() const { return comm_ != nullptr; }
@@ -1052,7 +1070,6 @@ Request<T> Comm::ialltoallv(const std::vector<std::vector<T>>& send,
   // Copy the payload into the op outside the lock: this rank is the only
   // writer of its payload row, and readers only look after observing the
   // posted count under the mutex.
-  std::uint64_t out_bytes = 0;
   for (int dst = 0; dst < nranks_; ++dst) {
     const auto& buf = send[static_cast<std::size_t>(dst)];
     std::vector<std::byte>& slot =
@@ -1062,8 +1079,8 @@ Request<T> Comm::ialltoallv(const std::vector<std::vector<T>>& send,
     if (!buf.empty()) {
       std::memcpy(slot.data(), buf.data(), slot.size());
     }
-    if (dst != rank_) out_bytes += slot.size();
   }
+  const std::uint64_t out_bytes = off_rank_bytes(send);
   op->out_bytes[static_cast<std::size_t>(rank_)] = out_bytes;
 
   {

@@ -146,7 +146,7 @@ TEST(ExchangePlanTest, StagedAndDirectDeliverIdenticalData) {
       const std::vector<std::uint64_t> host_out =
           plan.stage_out(d_out, total);
       EXPECT_EQ(host_out, flat);
-      auto received = plan.exchange(host_out, counts, offsets);
+      auto received = plan.post(host_out, counts, offsets).wait();
       auto d_recv = plan.stage_in(received.data);
       const auto r = static_cast<std::size_t>(comm.rank());
       // The staged-in device buffer holds the received payload either way.
@@ -235,7 +235,7 @@ TEST(ExchangePlanTest, CommitExchangeMatchesHandRolledReference) {
       }
       PhaseScope phase(metrics, kPhaseExchange);
       ExchangePlan plan(comm, &device, /*staged=*/true);
-      auto received = plan.exchange(outgoing);
+      auto received = plan.post(outgoing).wait();
       auto d_recv = plan.stage_in(received.data);
       device.free(d_recv);
       phase.commit_exchange(plan, overhead);

@@ -298,6 +298,53 @@ TEST(CommTest, ModeledTimeAgreesAcrossRanks) {
   }
 }
 
+// A request built complete is a blocking alltoallv written as post + wait:
+// wait() hands back exactly what the blocking call delivered, test() is
+// already true, and waiting charges nothing a second time.
+TEST(CommTest, CompletedRequestReturnsTheBlockingResult) {
+  constexpr int kRanks = 3;
+  const auto send_of = [](int rank) {
+    std::vector<std::vector<std::uint64_t>> send(kRanks);
+    for (int dst = 0; dst < kRanks; ++dst) {
+      send[static_cast<std::size_t>(dst)].assign(
+          static_cast<std::size_t>(rank + 2 * dst + 1),
+          static_cast<std::uint64_t>(10 * rank + dst));
+    }
+    return send;
+  };
+  std::vector<AlltoallvResult<std::uint64_t>> blocking(kRanks);
+  std::vector<AlltoallvResult<std::uint64_t>> waited(kRanks);
+
+  Runtime plain(kRanks, NetworkModel::summit());
+  plain.run([&](Comm& comm) {
+    blocking[static_cast<std::size_t>(comm.rank())] =
+        comm.alltoallv(send_of(comm.rank()));
+  });
+  Runtime posted(kRanks, NetworkModel::summit());
+  posted.run([&](Comm& comm) {
+    auto request = Request<std::uint64_t>::completed(
+        comm, comm.alltoallv(send_of(comm.rank())));
+    EXPECT_TRUE(request.valid());
+    EXPECT_TRUE(request.test());
+    waited[static_cast<std::size_t>(comm.rank())] = request.wait();
+    EXPECT_FALSE(request.valid());
+  });  // the waited request is dropped here, which must not throw
+
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(waited[r].data, blocking[r].data) << "rank " << r;
+    EXPECT_EQ(waited[r].counts, blocking[r].counts) << "rank " << r;
+    EXPECT_EQ(waited[r].offsets, blocking[r].offsets) << "rank " << r;
+    const CommStats& a = posted.stats()[r];
+    const CommStats& b = plain.stats()[r];
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+    EXPECT_EQ(a.bytes_received, b.bytes_received);
+    EXPECT_EQ(a.alltoallv_calls, b.alltoallv_calls);
+    EXPECT_EQ(a.collective_calls, b.collective_calls);
+    EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
+    EXPECT_EQ(a.modeled_volume_seconds, b.modeled_volume_seconds);
+  }
+}
+
 TEST(CommTest, MismatchedCollectiveTypesThrow) {
   Runtime runtime(2);
   EXPECT_THROW(runtime.run([&](Comm& comm) {
